@@ -75,7 +75,7 @@ def main() -> None:
         cfg_path.write_text(json.dumps(cfg, indent=2))
 
         t0 = time.time()
-        if lirrdet(["train", "--config", str(cfg_path), "--deterministic"]) != 0:
+        if lirrdet(["train", "--config", str(cfg_path)]) != 0:
             raise SystemExit(f"training failed: {name}")
         print(f"  {name}: {time.time() - t0:.1f}s")
         reports.append(str(out / name / "run_report.json"))

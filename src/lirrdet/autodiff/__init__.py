@@ -8,7 +8,6 @@ from .tensor import (
     precision,
     set_default_dtype,
     default_dtype,
-    current_tape,
     matmul,
 )
 from .functional import (
@@ -28,7 +27,7 @@ from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 
 __all__ = [
     "Tensor", "Tape", "ShapeError", "TapeError", "backward", "no_grad",
-    "precision", "set_default_dtype", "default_dtype", "current_tape", "matmul",
+    "precision", "set_default_dtype", "default_dtype", "matmul",
     "conv2d", "global_avg_pool", "bias_add", "softmax_cross_entropy",
     "binary_cross_entropy_logit", "smooth_l1", "grad_reverse", "gather_rows",
     "concat", "Parameter", "Module", "Conv2d", "Linear", "he_normal", "SGD",

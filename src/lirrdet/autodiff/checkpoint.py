@@ -52,11 +52,20 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: bad header: {e}") from e
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('version')}")
+    if header.get("dtype") not in ("float32", "float64"):
+        raise CheckpointError(f"{path}: header 'dtype' {header.get('dtype')!r} is not float32 or float64")
+    if not isinstance(header.get("params"), list):
+        raise CheckpointError(f"{path}: header 'params' is missing or not a list")
     dtype = np.dtype(header["dtype"]).newbyteorder("<")
     body = raw[nl + 1:]
     state: dict[str, np.ndarray] = {}
     offset = 0
     for entry in header["params"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(isinstance(d, int) and d >= 0 for d in entry["shape"])):
+            raise CheckpointError(f"{path}: header 'params' entry {entry!r} needs a name "
+                                  "and a shape of non-negative integers")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * dtype.itemsize

@@ -34,12 +34,11 @@ def _im2col(xpad: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, impl: str = "im2col") -> Tensor:
+           stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW input with an FCkk kernel stack.
 
     Output spatial size is floor((H + 2*padding - kh) / stride) + 1 (same for
-    W). No kernel flip. ``impl`` selects the im2col fast path (default) or a
-    direct loop reference; both compute the same function.
+    W). No kernel flip. Computed as one matrix product over im2col patches.
 
     Args:
         x: input of shape (N, C, H, W).
@@ -47,7 +46,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         bias: optional per-filter bias of shape (F,).
         stride: positive step between windows.
         padding: zero padding added on each spatial border.
-        impl: "im2col" or "direct".
 
     Returns:
         Tensor of shape (N, F, H', W').
@@ -71,38 +69,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     else:
         xpad = x.data
 
-    cols2 = None
-    if impl == "direct":
-        out_data = np.empty((n, f, ho, wo), dtype=x.data.dtype)
-        for ni in range(n):
-            for fi in range(f):
-                for yi in range(ho):
-                    for xi in range(wo):
-                        ys, xs = yi * stride, xi * stride
-                        window = xpad[ni, :, ys:ys + kh, xs:xs + kw]
-                        out_data[ni, fi, yi, xi] = np.sum(window * weight.data[fi])
-        if bias is not None:
-            out_data = out_data + bias.data.reshape(1, f, 1, 1)
-    elif impl == "im2col":
-        cols = _im2col(xpad, kh, kw, stride, ho, wo)
-        cols2 = cols.reshape(n, c * kh * kw, ho * wo).transpose(1, 0, 2).reshape(c * kh * kw, n * ho * wo)
-        w2 = weight.data.reshape(f, c * kh * kw)
-        out2 = w2 @ cols2
-        out_data = out2.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
-        if bias is not None:
-            out_data = out_data + bias.data.reshape(1, f, 1, 1)
-        out_data = np.ascontiguousarray(out_data)
-    else:
-        raise ValueError(f"unknown conv2d impl {impl!r}")
-
-    out = _wrap(out_data)
+    cols = _im2col(xpad, kh, kw, stride, ho, wo)
+    cols2 = cols.reshape(n, c * kh * kw, ho * wo).transpose(1, 0, 2).reshape(c * kh * kw, n * ho * wo)
+    w2 = weight.data.reshape(f, c * kh * kw)
+    out2 = w2 @ cols2
+    out_data = out2.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, f, 1, 1)
+    out = _wrap(np.ascontiguousarray(out_data))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
-    def backward_fn(g, cols2=cols2):
+    def backward_fn(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo))
-        if cols2 is None:
-            cols_b = _im2col(xpad, kh, kw, stride, ho, wo)
-            cols2 = cols_b.reshape(n, c * kh * kw, ho * wo).transpose(1, 0, 2).reshape(c * kh * kw, n * ho * wo)
         dw = (g2 @ cols2.T).reshape(f, c, kh, kw)
         dcols2 = weight.data.reshape(f, c * kh * kw).T @ g2
         dcols = dcols2.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)

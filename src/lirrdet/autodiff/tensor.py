@@ -10,8 +10,9 @@ Tapes are single-use: after ``backward`` the tape is consumed and a second
 ``backward`` through it raises ``TapeError``. The next recorded operation
 starts a fresh tape automatically.
 
-Broadcasting is deliberately restricted to scalar-with-tensor and
-identical-shape pairs; anything else raises ``ShapeError``.
+Broadcasting is deliberately restricted to scalar-with-tensor (a size-1
+tensor counts as a scalar) and identical-shape pairs; anything else raises
+``ShapeError``.
 
 Precision is a process-global mode (float32 by default, float64 for
 verification); see ``set_default_dtype`` / ``precision``.
@@ -34,7 +35,6 @@ __all__ = [
     "precision",
     "set_default_dtype",
     "default_dtype",
-    "current_tape",
 ]
 
 
@@ -116,14 +116,6 @@ class Tape:
         return len(self.entries)
 
 
-def current_tape() -> Tape | None:
-    """The tape new operations record onto (None until one exists)."""
-    tape = getattr(_state, "tape", None)
-    if tape is not None and tape.consumed:
-        return None
-    return tape
-
-
 def _tape_for_recording() -> Tape:
     tape = getattr(_state, "tape", None)
     if tape is None or tape.consumed:
@@ -144,16 +136,6 @@ class Tensor:
         self._entry: _Entry | None = None
         self._tape: Tape | None = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=_dtype()), requires_grad)
-
-    @staticmethod
-    def from_array(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(arr, requires_grad)
-
     # -- bookkeeping ----------------------------------------------------------
 
     @property
@@ -168,10 +150,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -246,12 +224,7 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src_shape = self.data.shape
-        out = Tensor.__new__(Tensor)
-        out.data = self.data.reshape(shape)
-        out.requires_grad = False
-        out.grad = None
-        out._entry = None
-        out._tape = None
+        out = _wrap(self.data.reshape(shape))
         _record(out, (self,), lambda g: (g.reshape(src_shape),))
         return out
 
@@ -259,12 +232,7 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        out = Tensor.__new__(Tensor)
-        out.data = self.data.transpose(axes)
-        out.requires_grad = False
-        out.grad = None
-        out._entry = None
-        out._tape = None
+        out = _wrap(self.data.transpose(axes))
         _record(out, (self,), lambda g: (g.transpose(inv),))
         return out
 
@@ -307,16 +275,31 @@ def _unary(x: Tensor, fwd, bwd) -> Tensor:
     return out
 
 
+def _scalar_operands(x: np.ndarray, y: np.ndarray):
+    """Drop the dimensions of a size-1 operand paired with a larger one, so
+    it acts as a scalar and the result takes the larger operand's shape."""
+    if x.shape == y.shape:
+        return x, y
+    if x.size != 1:
+        return x, y.reshape(())
+    if y.size != 1:
+        return x.reshape(()), y
+    return x, y
+
+
 def _binary(a: Tensor, b, fwd, bwd, name: str) -> Tensor:
-    """Binary elementwise op; b may be a Tensor or a python scalar."""
+    """Binary elementwise op; b may be a Tensor or a python scalar.
+
+    A size-1 tensor operand acts as a scalar.
+    """
     if isinstance(b, Tensor):
         if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
             raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} are not compatible "
                              "(only same-shape or scalar broadcasting is supported)")
-        out = _wrap(fwd(a.data, b.data))
+        out = _wrap(fwd(*_scalar_operands(a.data, b.data)))
 
         def backward_fn(g):
-            ga, gb = bwd(g, a.data, b.data)
+            ga, gb = bwd(g, *_scalar_operands(a.data, b.data))
             return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
         _record(out, (a, b), backward_fn)
@@ -333,11 +316,9 @@ def _binary(a: Tensor, b, fwd, bwd, name: str) -> Tensor:
 
 
 def _unbroadcast(g, shape) -> np.ndarray:
-    """Sum a gradient down to `shape` (only the scalar case can differ here)."""
+    """Sum a gradient down to `shape`; only a size-1 operand can differ."""
     g = np.asarray(g)
-    if g.shape == tuple(shape):
-        return g
-    return g.sum().reshape(shape) if np.prod(shape) == 1 else np.broadcast_to(g, shape).copy()
+    return g if g.shape == tuple(shape) else g.sum().reshape(shape)
 
 
 def _reduce(x: Tensor, axis, mean: bool) -> Tensor:

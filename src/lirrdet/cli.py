@@ -48,7 +48,9 @@ def _load_experiment_config(path: str) -> ExperimentConfig:
         raise FileNotFoundError(f"config not found: {path}")
     d = json.loads(p.read_text())
     if "config" in d and "eval_series" in d:
-        d = d["config"]  # a run report; use its embedded echo
+        # a run report; use its embedded echo, minus the retired no-op
+        # "deterministic" key that older reports carry
+        d = {k: v for k, v in d["config"].items() if k != "deterministic"}
     return ExperimentConfig.from_dict(d)
 
 
@@ -56,8 +58,6 @@ def _cmd_train(args) -> int:
     cfg = _load_experiment_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.deterministic:
-        cfg = replace(cfg, deterministic=True)
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     report = run_experiment(cfg)
@@ -138,8 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run one experiment from a config")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single ordered reduction per sum (always on; recorded in the echo)")
     p.add_argument("--out", help="override the output directory")
     p.set_defaults(func=_cmd_train)
 

@@ -9,7 +9,6 @@ scores 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,24 +29,6 @@ class EvalInput:
     """
     gt: dict
     detections: dict
-
-    @classmethod
-    def from_records(cls, gt_records, det_records):
-        """gt_records: iterable of {image_id, boxes, classes}; det_records:
-        iterable of {image_id, class_id, score, bbox} (the detection dump)."""
-        gt = {}
-        for rec in gt_records:
-            iid = int(rec["image_id"])
-            if iid in gt:
-                raise ValueError(f"duplicate image id {iid} in ground truth")
-            gt[iid] = [(tuple(b), int(c)) for b, c in zip(rec["boxes"], rec["classes"])]
-        dets = {iid: [] for iid in gt}
-        for rec in det_records:
-            iid = int(rec["image_id"])
-            if iid not in dets:
-                raise ValueError(f"detection references unknown image id {iid}")
-            dets[iid].append((tuple(rec["bbox"]), int(rec["class_id"]), float(rec["score"])))
-        return cls(gt=gt, detections=dets)
 
 
 @dataclass
@@ -116,16 +97,8 @@ def average_precision(flags, num_gt: int) -> float:
     flags = np.asarray(flags, dtype=bool)
     if num_gt == 0:
         return 0.0 if flags.size else -1.0
-    if flags.size == 0:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recall = tp / num_gt
-    precision = tp / (tp + fp)
-    env = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, RECALL_GRID, side="left")
-    sampled = np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
-    return float(sampled.mean())
+    # the curve's threshold is only a label; AP depends on the flags alone
+    return float(pr_curve(flags, num_gt, float("nan")).precision.mean())
 
 
 def pr_curve(flags, num_gt: int, iou_thr: float) -> PRCurve:
@@ -190,9 +163,3 @@ def evaluate(eval_input: EvalInput, thresholds=IOU_THRESHOLDS) -> APReport:
     return APReport(ap=ap, ap50=by_thr.get(0.5, -1.0), ap75=by_thr.get(0.75, -1.0),
                     per_threshold=per_threshold, thresholds=tuple(thresholds))
 
-
-def evaluate_files(annotation_records, detections_path, thresholds=IOU_THRESHOLDS) -> APReport:
-    """Evaluate a JSON-lines detection dump against dataset annotations."""
-    with open(detections_path) as f:
-        det_records = [json.loads(line) for line in f if line.strip()]
-    return evaluate(EvalInput.from_records(annotation_records, det_records), thresholds)

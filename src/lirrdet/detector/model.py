@@ -99,7 +99,3 @@ class Detector(Module):
         if head == "invariant":
             return self.invariant_head(feats)
         return self.domain_heads[int(head)](feats)
-
-    def backbone_parameters(self):
-        convs = [self.conv1, self.conv2, self.conv3, self.conv4]
-        return [p for c in convs for p in c.parameters()]

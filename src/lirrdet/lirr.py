@@ -49,6 +49,7 @@ stay None).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -200,9 +201,9 @@ def _risk_sum(cls: Tensor, loc: Tensor, matches, rows):
     return total, cls_val, loc_val
 
 
-def _head_risk(feats, batch, matches, model, head):
-    """Risk sum over a batch through one head ("invariant" or a domain id)."""
-    cls, loc = model.predict(feats, head)
+def _invariant_risk_sum(feats, batch, matches, model):
+    """Risk sum over a batch through the shared head."""
+    cls, loc = model.predict(feats, "invariant")
     return _risk_sum(cls, loc, matches, range(len(batch)))
 
 
@@ -221,26 +222,30 @@ def _domain_risk_sum(feats, batch, matches, model):
     return total, cls_val, loc_val
 
 
-def invariant_risk(batch, model) -> Tensor:
-    """Mean detection loss of the shared head over a (possibly mixed) batch."""
+def _mean_risk(batch, model, risk_sum, name: str) -> Tensor:
+    """Stack a batch, match its anchors, score it with risk_sum, and average."""
     batch = list(batch)
     if not batch:
-        raise ValueError("invariant_risk: empty batch")
+        raise ValueError(f"{name}: empty batch")
     _check_labeled(batch)
     feats = model.features(_stack_images(batch))
-    total, _, _ = _head_risk(feats, batch, _matches(batch, model), model, "invariant")
+    total, _, _ = risk_sum(feats, batch, _matches(batch, model), model)
     return total * (1.0 / len(batch))
+
+
+def invariant_risk(batch, model) -> Tensor:
+    """Mean detection loss of the shared head over a (possibly mixed) batch."""
+    return _mean_risk(batch, model, _invariant_risk_sum, "invariant_risk")
 
 
 def domain_risk(batch, model) -> Tensor:
     """Mean detection loss with each sample scored by its domain's own head."""
-    batch = list(batch)
-    if not batch:
-        raise ValueError("domain_risk: empty batch")
-    _check_labeled(batch)
-    feats = model.features(_stack_images(batch))
-    total, _, _ = _domain_risk_sum(feats, batch, _matches(batch, model), model)
-    return total * (1.0 / len(batch))
+    return _mean_risk(batch, model, _domain_risk_sum, "domain_risk")
+
+
+def _graph_unless_zero(weight: float):
+    """Build a term's graph only if its weight can move a parameter."""
+    return no_grad() if weight == 0.0 else nullcontext()
 
 
 def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
@@ -257,29 +262,21 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
     mt = _matches(batch_tgt, model)
     n = len(batch_src) + len(batch_tgt)
 
-    sum_s, cs, ls = _head_risk(feats_src, batch_src, ms, model, "invariant")
-    sum_t, ct, lt = _head_risk(feats_tgt, batch_tgt, mt, model, "invariant")
+    sum_s, cs, ls = _invariant_risk_sum(feats_src, batch_src, ms, model)
+    sum_t, ct, lt = _invariant_risk_sum(feats_tgt, batch_tgt, mt, model)
     l_i = (sum_s + sum_t) * (1.0 / n)
     i_cls, i_loc = (cs + ct) / n, (ls + lt) / n
 
-    if cfg.lambda_risk > 0.0:
+    with _graph_unless_zero(cfg.lambda_risk):
         rev_s = [grad_reverse(f, 1.0) for f in feats_src]
         rev_t = [grad_reverse(f, 1.0) for f in feats_tgt]
         dsum_s, dcs, dls = _domain_risk_sum(rev_s, batch_src, ms, model)
         dsum_t, dct, dlt = _domain_risk_sum(rev_t, batch_tgt, mt, model)
         l_d = (dsum_s + dsum_t) * (1.0 / n)
-    else:
-        with no_grad():
-            dsum_s, dcs, dls = _domain_risk_sum(feats_src, batch_src, ms, model)
-            dsum_t, dct, dlt = _domain_risk_sum(feats_tgt, batch_tgt, mt, model)
-            l_d = (dsum_s + dsum_t) * (1.0 / n)
     d_cls, d_loc = (dcs + dct) / n, (dls + dlt) / n
 
-    if cfg.lambda_rep > 0.0:
+    with _graph_unless_zero(cfg.lambda_rep):
         rep = rep_loss(feats_src[-1], feats_tgt[-1], classifier, cfg.grl_lambda)
-    else:
-        with no_grad():
-            rep = rep_loss(feats_src[-1], feats_tgt[-1], classifier, cfg.grl_lambda)
 
     total = risk_loss(l_i, l_d, cfg.lambda_risk)
     if cfg.lambda_rep > 0.0:

@@ -3,30 +3,34 @@
 SourceOnly fits the supervised detection risk on labelled source images,
 Oracle fits the same risk on the labelled target-train budget, and SDA
 fits the full domain-adaptive objective on both. What a run is allowed to
-read is decided when its batch iterators are built: a mode's loop is only
-ever handed the splits it may consume, and per-split sample counters are
-carried into the run report so the isolation can be audited afterwards.
+read is written down once, in ``_MODE_SPLITS``: the config's path check,
+split loading, batch tables and counters all follow it, so a mode's step
+function is only ever handed batches of the splits it may consume, and
+per-split sample counters are carried into the run report so the isolation
+can be audited afterwards.
 
 A run is a pure function of its config. Model init and batch order derive
-from (seed, stream) pairs, training math is single threaded, and the final
-metrics regenerate exactly from the saved checkpoint plus the test split.
+from (seed, stream) pairs, the parameters do not depend on the number of
+BLAS threads, and the final metrics regenerate exactly from the saved
+checkpoint plus the test split.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autodiff import SGD, save_checkpoint, load_checkpoint
+from .autodiff import SGD, CheckpointError, save_checkpoint, load_checkpoint
 from .coco_eval import EvalInput, evaluate
 from .detector.inference import forward_detect, save_detections
-from .detector.model import Detector, ModelSpec
+from .detector.model import DEFAULT_LEVELS, Detector, ModelSpec
 from .lirr import DomainClassifier, LirrConfig, invariant_risk, train_step
 from .synthgen import load_dataset
 
@@ -37,10 +41,35 @@ class Mode(str, Enum):
     SDA = "SDA"
 
 
-# (seed, stream) tags for the run's independent random streams
+# (seed, stream) tag of the model-init random stream
 _STREAM_INIT = 0
-_STREAM_SOURCE = 1
-_STREAM_TARGET = 2
+# image sides must divide into the coarsest feature map
+_COARSEST_STRIDE = max(lv.stride for lv in DEFAULT_LEVELS)
+
+
+@dataclass(frozen=True)
+class _Split:
+    """A training split: where its path lives, what it is called in errors
+    and counters, the (seed, stream) tag of its batch order, and whether
+    label_budget trims it."""
+    path_field: str
+    what: str
+    counter: str
+    stream: int
+    budgeted: bool
+
+
+_SOURCE = _Split("source_path", "source train", "source_samples", 1, budgeted=False)
+_TARGET = _Split("target_train_path", "target train", "target_train_samples", 2, budgeted=True)
+
+# The one place that decides what a mode may read. A split missing here is
+# never opened, and the step function only ever sees batches of these
+# splits, in this order.
+_MODE_SPLITS = {
+    Mode.SOURCE_ONLY: (_SOURCE,),
+    Mode.ORACLE: (_TARGET,),
+    Mode.SDA: (_SOURCE, _TARGET),
+}
 
 
 @dataclass(frozen=True)
@@ -69,7 +98,6 @@ class ExperimentConfig:
     steps: int = 2000
     eval_cadence: int = 200
     out_dir: str = "run"
-    deterministic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "mode", Mode(self.mode))
@@ -79,14 +107,25 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lr < 0 or not 0 <= self.momentum < 1:
             raise ValueError("lr must be >= 0 and momentum in [0, 1)")
-        needed = {"target_test_path"}
-        if self.mode != Mode.ORACLE:
-            needed.add("source_path")
-        if self.mode != Mode.SOURCE_ONLY:
-            needed.add("target_train_path")
+        if len(self.widths) != 4 or min(self.widths) <= 0:
+            raise ValueError(f"widths must be 4 positive channel counts, got {self.widths}")
+        if self.image_size <= 0 or self.image_size % _COARSEST_STRIDE:
+            raise ValueError(f"image_size must be a positive multiple of {_COARSEST_STRIDE}, "
+                             f"got {self.image_size}")
+        self.lirr_config  # LirrConfig rejects negative lambdas
+        needed = ["target_test_path"] + [sp.path_field for sp in _MODE_SPLITS[self.mode]]
         for name in sorted(needed):
             if not getattr(self, name):
                 raise ValueError(f"mode {self.mode.value} requires {name}")
+
+    @property
+    def lirr_config(self) -> LirrConfig:
+        return LirrConfig(lambda_rep=self.lambda_rep, lambda_risk=self.lambda_risk,
+                          grl_lambda=self.grl_lambda)
+
+    @property
+    def model_spec(self) -> ModelSpec:
+        return ModelSpec(image_size=self.image_size, widths=self.widths)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -116,17 +155,7 @@ class RunReport:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "eval_series": self.eval_series,
-            "final": self.final,
-            "counters": self.counters,
-            "losses_path": self.losses_path,
-            "checkpoint_path": self.checkpoint_path,
-            "detections_path": self.detections_path,
-            "wall_clock_sec": self.wall_clock_sec,
-            "version": self.version,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
@@ -146,6 +175,16 @@ def _load_split(path: str, what: str):
         raise FileNotFoundError(f"{what} dataset not found: {path}")
     samples = load_dataset(p).samples
     samples.sort(key=lambda s: s.image_id)
+    return samples
+
+
+def _load_training_split(config: ExperimentConfig, split: _Split):
+    samples = _load_split(getattr(config, split.path_field), split.what)
+    if split.budgeted:
+        if config.label_budget > len(samples):
+            raise ValueError(
+                f"label budget {config.label_budget} exceeds {split.what} size {len(samples)}")
+        samples = samples[:config.label_budget]
     return samples
 
 
@@ -190,6 +229,11 @@ def _supervised_step(batch, model, optimizer):
     return {"l_rep": 0.0, "l_i": v, "l_d": 0.0, "l_risk": v, "l_total": v}
 
 
+def _sda_step(batch_src, batch_tgt, model, classifier, optimizer, lirr_cfg):
+    bd = train_step(batch_src, batch_tgt, model, classifier, optimizer, lirr_cfg).to_dict()
+    return {k: bd[k] for k in ("l_rep", "l_i", "l_d", "l_risk", "l_total")}
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Train per the config's mode, evaluating on the target test split.
 
@@ -203,59 +247,35 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
 
     test = _load_split(config.target_test_path, "target test")
-    source = target = None
-    if mode != Mode.ORACLE:
-        source = _load_split(config.source_path, "source train")
-    if mode != Mode.SOURCE_ONLY:
-        target = _load_split(config.target_train_path, "target train")
-        if config.label_budget > len(target):
-            raise ValueError(
-                f"label budget {config.label_budget} exceeds target-train size {len(target)}")
-        target = target[:config.label_budget]
+    splits = _MODE_SPLITS[mode]
+    data = [_load_training_split(config, sp) for sp in splits]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_INIT)))
-    spec = ModelSpec(image_size=config.image_size, widths=config.widths)
-    model = Detector(spec, rng=rng)
+    model = Detector(config.model_spec, rng=rng)
     classifier = DomainClassifier(config.widths[-1], rng=rng) if mode == Mode.SDA else None
-
     params = list(model.parameters())
     if classifier is not None:
         params += list(classifier.parameters())
     optimizer = SGD(params, lr=config.lr, momentum=config.momentum)
-    lirr_cfg = LirrConfig(lambda_rep=config.lambda_rep,
-                          lambda_risk=config.lambda_risk,
-                          grl_lambda=config.grl_lambda)
+    if classifier is None:
+        step_fn = partial(_supervised_step, model=model, optimizer=optimizer)
+    else:
+        step_fn = partial(_sda_step, model=model, classifier=classifier,
+                          optimizer=optimizer, lirr_cfg=config.lirr_config)
 
     # mode isolation happens here: the loop below only sees these tables
-    src_sched = tgt_sched = None
-    if source is not None:
-        src_sched = batch_schedule(len(source), config.batch_size, config.steps,
-                                   config.seed, _STREAM_SOURCE)
-    if target is not None:
-        tgt_sched = batch_schedule(len(target), config.batch_size, config.steps,
-                                   config.seed, _STREAM_TARGET)
-    counters = {"source_samples": 0, "target_train_samples": 0}
+    scheds = [batch_schedule(len(d), config.batch_size, config.steps, config.seed, sp.stream)
+              for sp, d in zip(splits, data)]
+    counters = {sp.counter: 0 for sp in (_SOURCE, _TARGET)}
 
     losses_path = out / "losses.jsonl"
     eval_series = []
     with open(losses_path, "w") as log:
         for step in range(1, config.steps + 1):
-            if mode == Mode.SDA:
-                batch_src = [source[i] for i in src_sched[step - 1]]
-                batch_tgt = [target[i] for i in tgt_sched[step - 1]]
-                counters["source_samples"] += len(batch_src)
-                counters["target_train_samples"] += len(batch_tgt)
-                bd = train_step(batch_src, batch_tgt, model, classifier,
-                                optimizer, lirr_cfg).to_dict()
-                line = {k: bd[k] for k in ("l_rep", "l_i", "l_d", "l_risk", "l_total")}
-            elif mode == Mode.SOURCE_ONLY:
-                batch = [source[i] for i in src_sched[step - 1]]
-                counters["source_samples"] += len(batch)
-                line = _supervised_step(batch, model, optimizer)
-            else:
-                batch = [target[i] for i in tgt_sched[step - 1]]
-                counters["target_train_samples"] += len(batch)
-                line = _supervised_step(batch, model, optimizer)
+            batches = [[d[i] for i in sched[step - 1]] for d, sched in zip(data, scheds)]
+            for sp, batch in zip(splits, batches):
+                counters[sp.counter] += len(batch)
+            line = step_fn(*batches)
 
             log.write(json.dumps({"step": step, **line}) + "\n")
             if not np.isfinite(line["l_total"]):
@@ -292,15 +312,18 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path=None) -> tuple
 
     Returns (APReport, detection records). Given the checkpoint and test
     split of a finished run this reproduces the report's final metrics
-    bit for bit.
+    bit for bit. A checkpoint whose parameters do not fit the config's
+    model raises CheckpointError.
     """
     path = Path(checkpoint_path) if checkpoint_path else Path(config.out_dir) / "checkpoint.bin"
     if not path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     state = load_checkpoint(path)
     model_state = {k[len("model."):]: v for k, v in state.items() if k.startswith("model.")}
-    spec = ModelSpec(image_size=config.image_size, widths=config.widths)
-    model = Detector(spec, rng=np.random.default_rng(0))
-    model.load_state_dict(model_state)
+    model = Detector(config.model_spec, rng=np.random.default_rng(0))
+    try:
+        model.load_state_dict(model_state)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{path}: does not fit the configured model: {e.args[0]}") from e
     test = _load_split(config.target_test_path, "target test")
     return _evaluate_model(model, test)

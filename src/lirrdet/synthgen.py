@@ -430,6 +430,13 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"unsupported format version {header.get('format_version')!r}, "
                            f"expected {FORMAT_VERSION}")
 
+    for key in ("count", "image_nbytes", "image_crc32", "annotation_crc32"):
+        if not isinstance(header.get(key), int):
+            raise DatasetError(f"header {key!r} is missing or not an integer")
+    shape = header.get("image_shape")
+    if not isinstance(shape, list) or not all(isinstance(d, int) and d > 0 for d in shape):
+        raise DatasetError(f"header 'image_shape' {shape!r} is missing or not positive integers")
+
     body = raw[nl + 1:]
     nbytes = header["image_nbytes"]
     if len(body) < nbytes:
@@ -441,8 +448,10 @@ def load_dataset(path) -> Dataset:
         raise DatasetError("annotation checksum mismatch")
 
     count = header["count"]
-    shape = tuple(header["image_shape"])
-    images = np.frombuffer(image_block, dtype="<f4").reshape((count,) + shape).copy()
+    if count * math.prod(shape) * 4 != nbytes:
+        raise DatasetError(f"header 'count' {count} and 'image_shape' {shape} do not "
+                           f"match 'image_nbytes' {nbytes}")
+    images = np.frombuffer(image_block, dtype="<f4").reshape((count, *shape)).copy()
 
     lines = ann_block.decode().splitlines()
     if len(lines) != count:

@@ -624,7 +624,7 @@ def test_criterion_7_deterministic_runs_and_idempotent_eval(mini_bench, tmp_path
         cfg["out_dir"] = str(tmp_path / name)
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(p), "--deterministic"]) == 0
+        assert main(["train", "--config", str(p)]) == 0
         reports.append(json.loads((tmp_path / name / "run_report.json").read_text()))
 
     a, b = reports

@@ -201,18 +201,6 @@ class TestEvaluate:
         want = ref_evaluate(inp)
         np.testing.assert_allclose(rep.per_threshold, want, atol=1e-9)
 
-    def test_duplicate_image_id_rejected(self):
-        recs = [{"image_id": 1, "boxes": [[0, 0, 5, 5]], "classes": [1]},
-                {"image_id": 1, "boxes": [[0, 0, 5, 5]], "classes": [1]}]
-        with pytest.raises(ValueError):
-            EvalInput.from_records(recs, [])
-
-    def test_unknown_detection_image_rejected(self):
-        recs = [{"image_id": 1, "boxes": [[0, 0, 5, 5]], "classes": [1]}]
-        dets = [{"image_id": 2, "class_id": 1, "score": 0.5, "bbox": [0, 0, 5, 5]}]
-        with pytest.raises(ValueError):
-            EvalInput.from_records(recs, dets)
-
     def test_report_round_trip(self):
         rng = np.random.default_rng(32)
         rep = evaluate(random_eval_input(rng))

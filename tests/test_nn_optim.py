@@ -140,6 +140,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h: h.pop("dtype"), "dtype"),
+        (lambda h: h.pop("params"), "params"),
+        (lambda h: h.update(dtype="int8"), "dtype"),
+        (lambda h: h["params"][0].pop("shape"), "shape"),
+        (lambda h: h["params"][0].update(shape="4"), "shape"),
+        (lambda h: h["params"][0].update(shape=[-4]), "shape"),
+        (lambda h: h.update(params=5), "params"),
+    ])
+    def test_bad_header_rejected(self, tmp_path, edit, match):
+        import json
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"w": np.ones(4, dtype=np.float32)})
+        raw = path.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_mixed_dtypes_rejected(self, tmp_path):
         state = {"a": np.ones(2, dtype=np.float32), "b": np.ones(2, dtype=np.float64)}
         with pytest.raises(CheckpointError):

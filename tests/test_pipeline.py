@@ -2,13 +2,17 @@
 determinism, and the gen/train/eval/report flow on a miniature benchmark."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lirrdet
-from lirrdet.autodiff import SGD, load_checkpoint
+from lirrdet.autodiff import SGD, CheckpointError, load_checkpoint, save_checkpoint
 from lirrdet.cli import main
 from lirrdet.detector.model import Detector, ModelSpec
 from lirrdet.lirr import DomainClassifier, LirrConfig, train_step
@@ -78,6 +82,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field,value", [
         ("steps", 0), ("batch_size", 0), ("label_budget", -1),
         ("eval_cadence", 0), ("lr", -0.1), ("momentum", 1.0),
+        ("widths", (16, 32, 48)), ("widths", (16, 32, 48, 64, 80)),
+        ("image_size", 60), ("image_size", 40), ("image_size", 0),
+        ("lambda_rep", -1.0), ("lambda_risk", -0.5), ("grl_lambda", -0.1),
     ])
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -187,8 +194,8 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_runs_are_bit_deterministic(self, bench, tmp_path):
-        a = run_experiment(tiny_config(bench, tmp_path / "a", deterministic=True))
-        b = run_experiment(tiny_config(bench, tmp_path / "b", deterministic=True))
+        a = run_experiment(tiny_config(bench, tmp_path / "a"))
+        b = run_experiment(tiny_config(bench, tmp_path / "b"))
         assert a.eval_series == b.eval_series
         assert a.final == b.final
         assert (tmp_path / "a" / "losses.jsonl").read_bytes() == \
@@ -204,12 +211,58 @@ class TestRunExperiment:
         dumped = [json.loads(l) for l in open(tmp_path / "detections.jsonl")]
         assert len(dumped) == len(records)
 
+    def test_checkpoint_of_other_widths_rejected(self, bench, tmp_path):
+        cfg = tiny_config(bench, tmp_path)
+        run_experiment(cfg)
+        wider = replace(cfg, widths=(8, 16, 24, 48))
+        with pytest.raises(CheckpointError, match="checkpoint.bin"):
+            evaluate_checkpoint(wider)
+
     def test_config_echo_closure(self, bench, tmp_path):
         report = run_experiment(tiny_config(bench, tmp_path / "a"))
         echoed = ExperimentConfig.from_dict(report.config)
         rerun = run_experiment(replace(echoed, out_dir=str(tmp_path / "b")))
         assert rerun.final == report.final
         assert rerun.eval_series == report.eval_series
+
+
+_TWENTY_SDA_STEPS = """
+import hashlib
+import numpy as np
+from lirrdet.autodiff import SGD
+from lirrdet.detector import Detector, ModelSpec
+from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
+from lirrdet.synthgen import SOURCE_DOMAIN, TARGET_DOMAIN, SceneSpec, render_scene
+
+scene = SceneSpec(size=64, seed=0)
+src = [render_scene(scene, SOURCE_DOMAIN, i) for i in range(8)]
+tgt = [render_scene(scene, TARGET_DOMAIN, 100 + i, domain=DomainLabel.TARGET)
+       for i in range(8)]
+rng = np.random.default_rng(0)
+model = Detector(ModelSpec(), rng=rng)
+classifier = DomainClassifier(64, rng=rng)
+params = model.parameters() + classifier.parameters()
+opt = SGD(params, lr=0.005, momentum=0.5)
+for _ in range(20):
+    train_step(src, tgt, model, classifier, opt, LirrConfig())
+digest = hashlib.sha256()
+for p in params:
+    digest.update(p.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_parameters_do_not_depend_on_blas_threads():
+    src_dir = str(Path(lirrdet.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _TWENTY_SDA_STEPS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
 class TestSdaReducesToJointSupervised:
@@ -274,7 +327,7 @@ def trained(gen_dir, tmp_path_factory):
            "batch_size": 2, "steps": 3, "eval_cadence": 3,
            "seed": 5, "out_dir": str(out / "run")}
     (out / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["train", "--config", str(out / "cfg.json"), "--deterministic"]) == 0
+    assert main(["train", "--config", str(out / "cfg.json")]) == 0
     return out
 
 
@@ -300,7 +353,6 @@ class TestCli:
 
     def test_train_writes_report(self, trained, capsys):
         report = json.loads((trained / "run" / "run_report.json").read_text())
-        assert report["config"]["deterministic"] is True
         assert report["final"]["ap"] >= 0.0
 
     def test_train_seed_and_out_overrides(self, trained, tmp_path):
@@ -316,6 +368,24 @@ class TestCli:
         printed = json.loads(capsys.readouterr().out)
         report = json.loads((trained / "run" / "run_report.json").read_text())
         assert printed == report["final"]
+
+    def test_eval_accepts_report_with_retired_deterministic_key(self, trained, tmp_path, capsys):
+        # reports written while the no-op --deterministic flag existed echo it
+        report = json.loads((trained / "run" / "run_report.json").read_text())
+        report["config"]["deterministic"] = False
+        old = tmp_path / "run_report.json"
+        old.write_text(json.dumps(report))
+        assert main(["eval", "--config", str(old)]) == 0
+        assert json.loads(capsys.readouterr().out) == report["final"]
+
+    def test_eval_rejects_checkpoint_of_another_model(self, trained, tmp_path, capsys):
+        other = tmp_path / "other.bin"
+        save_checkpoint(other, {"model.conv9.weight": np.zeros((2, 2), dtype=np.float32)})
+        assert main(["eval", "--config", str(trained / "run" / "run_report.json"),
+                     "--checkpoint", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(other) in err
+        assert "Traceback" not in err
 
     def test_eval_out_dir(self, trained, tmp_path, capsys):
         assert main(["eval", "--config", str(trained / "run" / "run_report.json"),

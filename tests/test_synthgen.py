@@ -276,6 +276,36 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match="version"):
             load_dataset(bad)
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("image_nbytes", None, "image_nbytes"),
+        ("count", None, "count"),
+        ("image_shape", None, "image_shape"),
+        ("image_crc32", None, "image_crc32"),
+        ("count", 7, "count"),
+        ("count", 20, "count"),
+        ("image_shape", [1, 16, 16], "image_shape"),
+        ("image_shape", [2, 64, 64], "image_shape"),
+        ("image_shape", [-1, 32, -32], "image_shape"),
+        ("image_shape", "abc", "image_shape"),
+        ("image_nbytes", "x", "image_nbytes"),
+    ])
+    def test_bad_header_field(self, tmp_path, key, value, match):
+        import json
+        samples, _ = self.make_small_dataset()
+        path = tmp_path / "data.bin"
+        save_dataset(samples, path)
+        blob = path.read_bytes()
+        header_end = blob.find(b"\n")
+        header = json.loads(blob[:header_end])
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + blob[header_end:])
+        with pytest.raises(DatasetError, match=match):
+            load_dataset(bad)
+
     def test_garbage_header(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not json\n\x00\x01")

@@ -31,6 +31,15 @@ class TestForwardValues:
     def test_add_mul_scalar(self):
         t = Tensor([1.0, 2.0]) * 3.0 + 1.0
         np.testing.assert_allclose(t.data, [4.0, 7.0])
+        # a size-1 tensor acts as a scalar, even with more dimensions than its partner
+        for one_first in (True, False):
+            one = Tensor(np.ones((1, 1)), requires_grad=True)
+            vec = Tensor(np.arange(3.0), requires_grad=True)
+            out = one * vec if one_first else vec * one
+            assert out.shape == (3,)
+            backward(out.sum())
+            np.testing.assert_allclose(one.grad, [[3.0]])
+            np.testing.assert_allclose(vec.grad, [1.0, 1.0, 1.0])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
