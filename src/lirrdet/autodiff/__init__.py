@@ -1,6 +1,5 @@
 from .tensor import (
     Tensor,
-    Tape,
     ShapeError,
     TapeError,
     backward,
@@ -26,7 +25,7 @@ from .optim import SGD
 from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 
 __all__ = [
-    "Tensor", "Tape", "ShapeError", "TapeError", "backward", "no_grad",
+    "Tensor", "ShapeError", "TapeError", "backward", "no_grad",
     "precision", "set_default_dtype", "default_dtype", "matmul",
     "conv2d", "global_avg_pool", "bias_add", "softmax_cross_entropy",
     "binary_cross_entropy_logit", "smooth_l1", "grad_reverse", "gather_rows",

@@ -1,15 +1,15 @@
 """Neural-network operations on tensors: convolution, pooling, losses.
 
-All ops here follow the same recording contract as the elementwise ops in
-``tensor.py``: forward values are plain numpy, a backward rule is recorded
-when any input is being tracked.
+Every op here builds its output through ``_op`` from ``tensor.py``, as the
+elementwise ops do: forward values are plain numpy, and a backward rule is
+recorded when any input is being tracked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _record, _sigmoid, _wrap
+from .tensor import ShapeError, Tensor, _op, _sigmoid
 
 __all__ = [
     "conv2d",
@@ -76,7 +76,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_data = out2.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)
-    out = _wrap(np.ascontiguousarray(out_data))
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def backward_fn(g):
@@ -93,8 +92,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    _record(out, inputs, backward_fn)
-    return out
+    return _op(np.ascontiguousarray(out_data), inputs, backward_fn)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -102,22 +100,18 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool expects NCHW input, got {x.data.shape}")
     n, c, h, w = x.data.shape
-    out = _wrap(x.data.mean(axis=(2, 3)))
 
     def backward_fn(g):
         return (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(x.data.dtype, copy=False),)
 
-    _record(out, (x,), backward_fn)
-    return out
+    return _op(x.data.mean(axis=(2, 3)), (x,), backward_fn)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a (K,) bias row-wise to an (N, K) matrix."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"bias_add expects (N,K) + (K,), got {x.data.shape} and {b.data.shape}")
-    out = _wrap(x.data + b.data[None, :])
-    _record(out, (x, b), lambda g: (g, g.sum(axis=0)))
-    return out
+    return _op(x.data + b.data[None, :], (x, b), lambda g: (g, g.sum(axis=0)))
 
 
 def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
@@ -138,7 +132,6 @@ def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Te
     lse = np.log(np.exp(z).sum(axis=1))
     per_row = lse - z[np.arange(n), labels]
     value = per_row.mean() if reduction == "mean" else per_row.sum()
-    out = _wrap(np.asarray(value, dtype=logits.data.dtype))
 
     def backward_fn(g):
         soft = np.exp(z)
@@ -148,8 +141,7 @@ def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Te
             soft /= n
         return (soft * g,)
 
-    _record(out, (logits,), backward_fn)
-    return out
+    return _op(np.asarray(value, dtype=logits.data.dtype), (logits,), backward_fn)
 
 
 def binary_cross_entropy_logit(logit: Tensor, target, reduction: str = "mean") -> Tensor:
@@ -166,7 +158,6 @@ def binary_cross_entropy_logit(logit: Tensor, target, reduction: str = "mean") -
     z = logit.data
     per = np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
     value = per.mean() if reduction == "mean" else per.sum()
-    out = _wrap(np.asarray(value, dtype=z.dtype))
 
     def backward_fn(g):
         d = _sigmoid(z) - target
@@ -174,8 +165,7 @@ def binary_cross_entropy_logit(logit: Tensor, target, reduction: str = "mean") -
             d = d / z.size
         return (d * g,)
 
-    _record(out, (logit,), backward_fn)
-    return out
+    return _op(np.asarray(value, dtype=z.dtype), (logit,), backward_fn)
 
 
 def smooth_l1(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
@@ -187,7 +177,6 @@ def smooth_l1(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
     ae = np.abs(e)
     per = np.where(ae < 1.0, 0.5 * e * e, ae - 0.5)
     value = per.mean() if reduction == "mean" else per.sum()
-    out = _wrap(np.asarray(value, dtype=pred.data.dtype))
 
     def backward_fn(g):
         d = np.clip(e, -1.0, 1.0)
@@ -199,17 +188,14 @@ def smooth_l1(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
         return (dp,)
 
     inputs = (pred, target) if isinstance(target, Tensor) else (pred,)
-    _record(out, inputs, backward_fn)
-    return out
+    return _op(np.asarray(value, dtype=pred.data.dtype), inputs, backward_fn)
 
 
 def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:
     """Identity forward; backward multiplies the upstream gradient by -lam."""
     if lam < 0:
         raise ValueError(f"grad_reverse lambda must be >= 0, got {lam}")
-    out = _wrap(x.data)
-    _record(out, (x,), lambda g: (-lam * g,))
-    return out
+    return _op(x.data, (x,), lambda g: (-lam * g,))
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -217,22 +203,19 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D tensor, got {x.data.shape}")
-    out = _wrap(x.data[idx])
 
     def backward_fn(g):
         dx = np.zeros_like(x.data)
         np.add.at(dx, idx, g)
         return (dx,)
 
-    _record(out, (x,), backward_fn)
-    return out
+    return _op(x.data[idx], (x,), backward_fn)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along an axis; backward splits the gradient."""
     if not tensors:
         raise ShapeError("concat of an empty list")
-    out = _wrap(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -244,5 +227,4 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             grads.append(g[tuple(slicer)])
         return tuple(grads)
 
-    _record(out, tuple(tensors), backward_fn)
-    return out
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward_fn)

@@ -1,21 +1,25 @@
 """Reverse-mode automatic differentiation over dense numpy-backed tensors.
 
 A ``Tensor`` wraps a numpy array. Operations on tensors that participate in
-gradient computation are recorded on a thread-local ``Tape`` in execution
-order (which is already a topological order). ``backward(loss)`` walks the
-tape once in reverse and accumulates gradients into the ``grad`` attribute
-of leaf tensors created with ``requires_grad=True``.
+gradient computation are recorded on the thread's tape in execution order
+(which is already a topological order). ``backward(loss)`` walks the tape
+once in reverse and accumulates gradients into the ``grad`` attribute of
+leaf tensors created with ``requires_grad=True``.
 
-Tapes are single-use: after ``backward`` the tape is consumed and a second
-``backward`` through it raises ``TapeError``. The next recorded operation
-starts a fresh tape automatically.
+Each thread has one tape, and each ``backward`` empties it: it takes every
+op off the tape as it sweeps it and unlinks the op's output, so the op's
+inputs, backward rule and buffers are freed by reference counting once
+nothing else holds them, even when a backward rule raises. Tensors of a
+swept graph are no longer tracked, so a second ``backward`` from the same
+loss raises ``TapeError``.
 
 Broadcasting is deliberately restricted to scalar-with-tensor (a size-1
 tensor counts as a scalar) and identical-shape pairs; anything else raises
 ``ShapeError``.
 
-Precision is a process-global mode (float32 by default, float64 for
-verification); see ``set_default_dtype`` / ``precision``.
+Precision is a per-thread mode (float32 by default, float64 for
+verification); see ``set_default_dtype`` / ``precision``. Grad mode and the
+tape are per thread as well.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Tape",
     "ShapeError",
     "TapeError",
     "backward",
@@ -43,23 +46,28 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Raised on invalid tape use (e.g. backward through a consumed tape)."""
+    """Raised on invalid tape use (e.g. a second backward from the same loss)."""
 
 
-_state = threading.local()
+class _ThreadState(threading.local):
+    """Precision, grad mode and the tape of one thread."""
+
+    def __init__(self):
+        self.dtype = np.dtype(np.float32)
+        self.grad_enabled = True
+        self.tape: list[_Entry] = []
 
 
-def _dtype() -> np.dtype:
-    return getattr(_state, "dtype", np.dtype(np.float32))
+_state = _ThreadState()
 
 
 def default_dtype() -> np.dtype:
     """Return the dtype newly created tensors use."""
-    return _dtype()
+    return _state.dtype
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the global tensor dtype ('float32' or 'float64')."""
+    """Set this thread's tensor dtype ('float32' or 'float64')."""
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
@@ -68,8 +76,8 @@ def set_default_dtype(dtype) -> None:
 
 @contextmanager
 def precision(dtype):
-    """Temporarily switch the global dtype, e.g. ``with precision('float64')``."""
-    old = _dtype()
+    """Temporarily switch this thread's dtype, e.g. ``with precision('float64')``."""
+    old = _state.dtype
     set_default_dtype(dtype)
     try:
         yield
@@ -77,14 +85,10 @@ def precision(dtype):
         _state.dtype = old
 
 
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / reporting paths)."""
-    old = _grad_enabled()
+    old = _state.grad_enabled
     _state.grad_enabled = False
     try:
         yield
@@ -103,38 +107,17 @@ class _Entry:
         self.backward = backward
 
 
-class Tape:
-    """Ordered record of operations; execution order is topological order."""
-
-    __slots__ = ("entries", "consumed")
-
-    def __init__(self):
-        self.entries: list[_Entry] = []
-        self.consumed = False
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _tape_for_recording() -> Tape:
-    tape = getattr(_state, "tape", None)
-    if tape is None or tape.consumed:
-        tape = Tape()
-        _state.tape = tape
-    return tape
-
-
 class Tensor:
     """Dense n-dimensional float tensor with optional gradient tracking."""
 
     __slots__ = ("data", "requires_grad", "grad", "_entry", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_dtype())
+        self.data = np.asarray(data, dtype=_state.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._entry: _Entry | None = None
-        self._tape: Tape | None = None
+        self._tape: list[_Entry] | None = None
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -156,13 +139,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # -- recording ------------------------------------------------------------
-
-    def _tracked(self) -> bool:
-        if self.requires_grad:
-            return True
-        return self._entry is not None and self._tape is not None and not self._tape.consumed
 
     def backward(self) -> None:
         backward(self)
@@ -224,17 +200,13 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src_shape = self.data.shape
-        out = _wrap(self.data.reshape(shape))
-        _record(out, (self,), lambda g: (g.reshape(src_shape),))
-        return out
+        return _op(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-        out = _wrap(self.data.transpose(axes))
-        _record(out, (self,), lambda g: (g.transpose(inv),))
-        return out
+        return _op(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -246,33 +218,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wrap(data: np.ndarray) -> Tensor:
+def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
+    """The output of an op: `data` as a tensor, recorded on the thread's tape
+    with `backward_fn` if grad mode is on and any input is tracked (a leaf
+    that requires grad, or the output of an op still on a tape)."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
     out._entry = None
     out._tape = None
+    if _state.grad_enabled and any(t.requires_grad or t._entry is not None for t in inputs):
+        out._entry = _Entry(inputs, out, backward_fn)
+        out._tape = _state.tape
+        out._tape.append(out._entry)
     return out
-
-
-def _record(out: Tensor, inputs: tuple, backward_fn) -> None:
-    """Record an op on the current tape if grad mode is on and any input is tracked."""
-    if not _grad_enabled():
-        return
-    if not any(t._tracked() for t in inputs):
-        return
-    tape = _tape_for_recording()
-    entry = _Entry(inputs, out, backward_fn)
-    out._entry = entry
-    out._tape = tape
-    tape.entries.append(entry)
 
 
 def _unary(x: Tensor, fwd, bwd) -> Tensor:
-    out = _wrap(fwd(x.data))
-    _record(out, (x,), lambda g: (bwd(g, x.data, out.data),))
-    return out
+    out_data = fwd(x.data)
+    return _op(out_data, (x,), lambda g: (bwd(g, x.data, out_data),))
 
 
 def _scalar_operands(x: np.ndarray, y: np.ndarray):
@@ -296,23 +261,19 @@ def _binary(a: Tensor, b, fwd, bwd, name: str) -> Tensor:
         if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
             raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} are not compatible "
                              "(only same-shape or scalar broadcasting is supported)")
-        out = _wrap(fwd(*_scalar_operands(a.data, b.data)))
 
         def backward_fn(g):
             ga, gb = bwd(g, *_scalar_operands(a.data, b.data))
             return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
-        _record(out, (a, b), backward_fn)
-        return out
+        return _op(fwd(*_scalar_operands(a.data, b.data)), (a, b), backward_fn)
     s = float(b)
-    out = _wrap(fwd(a.data, s))
 
     def backward_scalar(g):
         ga, _ = bwd(g, a.data, s)
         return (ga,)
 
-    _record(out, (a,), backward_scalar)
-    return out
+    return _op(fwd(a.data, s), (a,), backward_scalar)
 
 
 def _unbroadcast(g, shape) -> np.ndarray:
@@ -322,20 +283,11 @@ def _unbroadcast(g, shape) -> np.ndarray:
 
 
 def _reduce(x: Tensor, axis, mean: bool) -> Tensor:
+    """Sum or mean over `axis` (an int, a tuple of ints, or None for all)."""
     if axis is None:
-        count = x.data.size
-        data = x.data.mean() if mean else x.data.sum()
-        src_shape = x.data.shape
-
-        def backward_full(g):
-            gb = np.broadcast_to(g, src_shape)
-            return ((gb / count).astype(x.data.dtype, copy=False) if mean else gb.astype(x.data.dtype, copy=False),)
-
-        out = _wrap(np.asarray(data))
-        _record(out, (x,), backward_full)
-        return out
-
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+        axes = tuple(range(x.data.ndim))
+    else:
+        axes = (axis,) if isinstance(axis, int) else tuple(axis)
     count = int(np.prod([x.data.shape[a] for a in axes]))
     data = x.data.mean(axis=axes) if mean else x.data.sum(axis=axes)
     src_shape = x.data.shape
@@ -345,9 +297,7 @@ def _reduce(x: Tensor, axis, mean: bool) -> Tensor:
         gb = np.broadcast_to(ge, src_shape)
         return ((gb / count).astype(x.data.dtype, copy=False) if mean else gb.astype(x.data.dtype, copy=False),)
 
-    out = _wrap(data)
-    _record(out, (x,), backward_axis)
-    return out
+    return _op(np.asarray(data), (x,), backward_axis)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -356,46 +306,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.data.shape} vs {b.data.shape}")
-    out = _wrap(a.data @ b.data)
-    _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-    return out
+    return _op(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def backward(loss: Tensor) -> None:
     """Reverse-sweep the tape from a scalar loss, accumulating leaf gradients.
 
     Every reachable leaf with ``requires_grad=True`` gets its gradient summed
-    into ``.grad``. The tape is consumed; a second call raises ``TapeError``.
+    into ``.grad``. The sweep empties the loss's tape, also when a backward
+    rule raises; a second call from the same loss raises ``TapeError``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    tape = loss._tape
-    if tape is None or loss._entry is None:
+    if loss._entry is None:
         # A bare leaf used directly as the loss.
         if loss.requires_grad:
             g = np.ones_like(loss.data)
             loss.grad = g if loss.grad is None else loss.grad + g
             return
-        raise TapeError("loss is not connected to a tape and does not require grad")
-    if tape.consumed:
-        raise TapeError("backward already called on this tape; rebuild the graph first")
-    tape.consumed = True
+        raise TapeError("loss is not on a tape: no input of it was tracked, "
+                        "or backward has already swept its graph")
 
-    staged: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
-        g = staged.pop(id(entry.output), None)
-        if g is None:
-            continue
-        input_grads = entry.backward(g)
-        for t, gi in zip(entry.inputs, input_grads):
-            if gi is None:
+    tape = loss._tape
+    staged: dict[_Entry, np.ndarray] = {loss._entry: np.ones_like(loss.data)}
+    try:
+        while tape:
+            entry = tape.pop()
+            entry.output._entry = None
+            g = staged.pop(entry, None)
+            if g is None:
                 continue
-            if t._entry is not None and t._tape is tape:
-                key = id(t)
-                if key in staged:
-                    staged[key] = staged[key] + gi
-                else:
-                    staged[key] = gi
-            elif t.requires_grad:
-                gi = np.asarray(gi, dtype=t.data.dtype).reshape(t.data.shape)
-                t.grad = gi.copy() if t.grad is None else t.grad + gi
+            input_grads = entry.backward(g)
+            for t, gi in zip(entry.inputs, input_grads):
+                if gi is None:
+                    continue
+                if t._entry is not None:
+                    key = t._entry
+                    staged[key] = staged[key] + gi if key in staged else gi
+                elif t.requires_grad:
+                    gi = np.asarray(gi, dtype=t.data.dtype).reshape(t.data.shape)
+                    t.grad = gi.copy() if t.grad is None else t.grad + gi
+    finally:
+        for entry in tape:
+            entry.output._entry = None
+        tape.clear()

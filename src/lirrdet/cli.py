@@ -47,7 +47,7 @@ def _load_experiment_config(path: str) -> ExperimentConfig:
     if not p.is_file():
         raise FileNotFoundError(f"config not found: {path}")
     d = json.loads(p.read_text())
-    if "config" in d and "eval_series" in d:
+    if isinstance(d, dict) and "config" in d and "eval_series" in d:
         # a run report; use its embedded echo, minus the retired no-op
         # "deterministic" key that older reports carry
         d = {k: v for k, v in d["config"].items() if k != "deterministic"}

@@ -139,6 +139,10 @@ def _cap_detections(dets):
 
 
 def evaluate(eval_input: EvalInput, thresholds=IOU_THRESHOLDS) -> APReport:
+    """AP over the images in ``gt``; detections on any other image raise ValueError."""
+    unknown = [iid for iid in eval_input.detections if iid not in eval_input.gt]
+    if unknown:
+        raise ValueError(f"detections for image id {unknown[0]!r}, which the ground truth does not list")
     capped = {iid: _cap_detections(d) for iid, d in eval_input.detections.items()}
     data = EvalInput(gt=eval_input.gt, detections=capped)
 

@@ -15,6 +15,9 @@ import numpy as np
 from ..autodiff import Conv2d, Module, Tensor, concat
 from .anchors import AnchorGrid, LevelSpec, generate_anchors
 
+# strides of the two backbone feature maps the heads read, finest first
+HEAD_STRIDES = (8, 16)
+
 DEFAULT_LEVELS = (
     LevelSpec(stride=8, scales=(10.0, 16.0), aspects=(1.0, 2.0, 0.5)),
     LevelSpec(stride=16, scales=(24.0, 36.0), aspects=(1.0, 2.0, 0.5)),
@@ -29,6 +32,20 @@ class ModelSpec:
     widths: tuple = (16, 32, 48, 64)
     levels: tuple = DEFAULT_LEVELS
     num_domains: int = 2
+
+    def __post_init__(self):
+        strides = tuple(lv.stride for lv in self.levels)
+        if strides != HEAD_STRIDES:
+            raise ValueError(f"levels must have the head strides {HEAD_STRIDES} in that order, "
+                             f"got strides {strides}")
+        if len(self.widths) != 4 or min(self.widths) <= 0:
+            raise ValueError(f"widths must be 4 positive channel counts, got {self.widths}")
+        if self.image_size <= 0 or self.image_size % HEAD_STRIDES[-1]:
+            raise ValueError(f"image_size must be a positive multiple of {HEAD_STRIDES[-1]}, "
+                             f"got {self.image_size}")
+        for name in ("in_channels", "num_classes", "num_domains"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def num_logits(self) -> int:
@@ -87,7 +104,7 @@ class Detector(Module):
         self.anchors: AnchorGrid = generate_anchors(spec.image_size, spec.levels)
 
     def features(self, x: Tensor):
-        """Backbone; returns the stride-8 and stride-16 feature maps."""
+        """Backbone; returns the feature maps at HEAD_STRIDES (8 and 16)."""
         h = self.conv1(x).relu()
         h = self.conv2(h).relu()
         f3 = self.conv3(h).relu()

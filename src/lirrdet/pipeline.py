@@ -30,7 +30,8 @@ from . import __version__
 from .autodiff import SGD, CheckpointError, save_checkpoint, load_checkpoint
 from .coco_eval import EvalInput, evaluate
 from .detector.inference import forward_detect, save_detections
-from .detector.model import DEFAULT_LEVELS, Detector, ModelSpec
+from .detector.model import Detector, ModelSpec
+from .jsonconfig import from_json_dict
 from .lirr import DomainClassifier, LirrConfig, invariant_risk, train_step
 from .synthgen import load_dataset
 
@@ -43,8 +44,6 @@ class Mode(str, Enum):
 
 # (seed, stream) tag of the model-init random stream
 _STREAM_INIT = 0
-# image sides must divide into the coarsest feature map
-_COARSEST_STRIDE = max(lv.stride for lv in DEFAULT_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lr < 0 or not 0 <= self.momentum < 1:
             raise ValueError("lr must be >= 0 and momentum in [0, 1)")
-        if len(self.widths) != 4 or min(self.widths) <= 0:
-            raise ValueError(f"widths must be 4 positive channel counts, got {self.widths}")
-        if self.image_size <= 0 or self.image_size % _COARSEST_STRIDE:
-            raise ValueError(f"image_size must be a positive multiple of {_COARSEST_STRIDE}, "
-                             f"got {self.image_size}")
+        self.model_spec  # ModelSpec rejects bad widths and image sizes
         self.lirr_config  # LirrConfig rejects negative lambdas
         needed = ["target_test_path"] + [sp.path_field for sp in _MODE_SPLITS[self.mode]]
         for name in sorted(needed):
@@ -129,11 +124,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d)
+        """Build from parsed JSON; unknown keys and wrong-typed values raise ValueError."""
+        return from_json_dict(cls, d)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}

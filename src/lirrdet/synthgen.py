@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
+from .jsonconfig import from_json_dict
 from .lirr import DomainLabel
 
 FORMAT_VERSION = 1
@@ -333,21 +334,9 @@ class BenchmarkConfig:
 
 
 def benchmark_config_from_dict(d: dict) -> BenchmarkConfig:
-    """Rebuild a BenchmarkConfig from its to_dict() echo."""
-    d = dict(d)
-    scene_fields = dict(d.pop("scene", {}))
-    for key in ("polygon_sides", "scale_range", "position_range", "rotation_range"):
-        if key in scene_fields:
-            scene_fields[key] = tuple(scene_fields[key])
-    known = {f.name for f in fields(BenchmarkConfig)}
-    extra = set(d) - known
-    if extra:
-        raise ValueError(f"unknown benchmark config keys: {sorted(extra)}")
-    kwargs = {}
-    for key in ("source", "target"):
-        if key in d:
-            kwargs[key] = DomainParams(**d.pop(key))
-    return BenchmarkConfig(scene=SceneSpec(**scene_fields), **kwargs, **d)
+    """Rebuild a BenchmarkConfig from its to_dict() echo (or any part of it);
+    unknown keys and wrong-typed values raise ValueError."""
+    return from_json_dict(BenchmarkConfig, d)
 
 
 @dataclass

@@ -206,6 +206,14 @@ class TestEvaluate:
         rep = evaluate(random_eval_input(rng))
         assert APReport.from_dict(rep.to_dict()) == rep
 
+    def test_detections_on_unlisted_image_rejected(self):
+        box = (10.0, 10.0, 30.0, 30.0)
+        gt = {1: [(box, 1)]}
+        assert evaluate(EvalInput(gt=gt, detections={1: [(box, 1, 0.9)]})).ap == 1.0
+        false_pos = [((0.0, 0.0, 8.0, 8.0 + k), 1, 0.99) for k in range(5)]
+        with pytest.raises(ValueError, match="image id 2"):
+            evaluate(EvalInput(gt=gt, detections={1: [(box, 1, 0.9)], 2: false_pos}))
+
 
 class TestEvaluateProperties:
     def test_monotone_score_transform_invariance(self):

@@ -84,6 +84,23 @@ class TestModelWiring:
         np.testing.assert_array_equal(got, expect)
 
 
+FINE, COARSE = SMALL_SPEC.levels
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("field,value", [
+        ("levels", (COARSE, FINE)),  # anchors would no longer line up with head rows
+        ("levels", (FINE, COARSE, LevelSpec(32))),
+        ("levels", (FINE,)),
+        ("widths", (8, 16, 24)), ("widths", (8, 16, 0, 32)),
+        ("image_size", 40), ("image_size", 0),
+        ("in_channels", 0), ("num_classes", 0), ("num_domains", 0),
+    ])
+    def test_bad_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelSpec(**{field: value})
+
+
 def ref_detection_loss(logits, offsets, match, neg_ratio=3):
     def ce(z, label):
         zs = z - z.max()

@@ -74,6 +74,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys.*learning_rate"):
             ExperimentConfig.from_dict({"learning_rate": 0.1})
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("lr", True, "lr must be a number"),
+        ("steps", 10.5, "steps must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("widths", [8, 16, "24", 32], r"widths\[2\] must be an integer"),
+        ("mode", 1, "mode must be a string"),
+    ])
+    def test_wrong_json_type_rejected(self, key, value, match):
+        d = {"source_path": "s", "target_train_path": "t", "target_test_path": "e", key: value}
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict(d)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="Finetune", source_path="s",
@@ -447,6 +459,26 @@ class TestCli:
     def test_missing_report_named(self, capsys):
         assert main(["report", "/no/such/report.json"]) == 1
         assert "/no/such/report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("train", {"steps": "10"}, "config key steps must be an integer"),
+        ("train", {"widths": 16}, "config key widths must be an array"),
+        ("train", {"lr": None}, "config key lr must be a number"),
+        ("gen", {"source_count": "5"}, "config key source_count must be an integer"),
+        ("gen", {"source": {"noise_sigma": "x"}}, "config key source.noise_sigma must be a number"),
+        ("gen", {"scene": {"foo": 1}}, "unknown config keys: ['scene.foo']"),
+    ])
+    def test_bad_config_value_reported(self, tmp_path, capsys, command, config, message):
+        if command == "train":
+            config = {"source_path": "s", "target_train_path": "t",
+                      "target_test_path": "e", **config}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        out = ["--out", str(tmp_path / "data")] if command == "gen" else []
+        assert main([command, "--config", str(p), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "data").exists()
 
     def test_bad_config_key_reported(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -1,5 +1,8 @@
 """Core tensor ops: forward values, tape semantics, finite-difference checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from lirrdet.autodiff import (
     TapeError,
     Tensor,
     backward,
+    conv2d,
+    gather_rows,
     matmul,
     no_grad,
     precision,
@@ -112,6 +117,42 @@ class TestTapeSemantics:
             backward((x * 2.0).sum())
             backward((x * 3.0).sum())
             np.testing.assert_allclose(x.grad, [5.0])
+
+    def test_swept_graph_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            x = Tensor(np.ones((1, 2, 5, 5)))
+            w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+            hidden = conv2d(x, w, padding=1)
+            alive = weakref.ref(hidden.data)
+            loss = hidden.relu().sum()
+            del hidden
+            backward(loss)
+            del loss
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_tape_counts_only_ops_since_the_last_backward(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        backward((x * x).sum())
+        loss = ((x * 2.0) + 1.0).sum()
+        assert len(loss._tape) == 3
+
+    def test_raising_backward_rule_leaves_nothing_tracked(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        idx = np.array([0, 2])
+        doubled = x * 2.0
+        rows = gather_rows(doubled, idx)
+        loss = rows.relu().sum()
+        idx[0] = 99  # gather_rows' backward now scatters out of bounds
+        with pytest.raises(IndexError):
+            backward(loss)
+        assert x.grad is None
+        for t in (doubled, rows, loss):
+            # an untracked tensor records nothing, so there is no graph to sweep
+            with pytest.raises(TapeError):
+                backward((t * 1.0).sum())
 
 
 class TestGradientsAgainstFiniteDifferences:
