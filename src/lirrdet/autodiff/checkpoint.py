@@ -50,6 +50,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('version')}")
     if header.get("dtype") not in ("float32", "float64"):

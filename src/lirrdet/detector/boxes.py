@@ -6,15 +6,14 @@ so width is x2 - x1 with no +1 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 VARIANCES = (0.1, 0.1, 0.2, 0.2)
 
 
-@dataclass
-class Detection:
+class Detection(NamedTuple):
     bbox: tuple  # (x1, y1, x2, y2)
     class_id: int
     score: float
@@ -107,6 +106,8 @@ def nms(dets: list, iou_thr: float) -> list:
     if not 0.0 <= iou_thr <= 1.0:
         raise ValueError(f"nms: iou_thr {iou_thr} outside [0, 1]")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    bboxes = [d.bbox for d in dets]
+    classes = [d.class_id for d in dets]
     keep = []
     suppressed = [False] * len(dets)
     for pos, idx in enumerate(order):
@@ -116,7 +117,6 @@ def nms(dets: list, iou_thr: float) -> list:
         for later in order[pos + 1:]:
             if suppressed[later]:
                 continue
-            if dets[later].class_id == dets[idx].class_id and \
-                    iou(dets[later].bbox, dets[idx].bbox) > iou_thr:
+            if classes[later] == classes[idx] and iou(bboxes[later], bboxes[idx]) > iou_thr:
                 suppressed[later] = True
     return keep

@@ -45,14 +45,16 @@ def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     gt_classes = np.asarray(gt_classes, dtype=np.int64).reshape(-1)
 
-    gt_index = np.full(num_anchors, NEGATIVE, dtype=np.int64)
     class_targets = np.zeros(num_anchors, dtype=np.int64)
     box_targets = np.zeros((num_anchors, 4), dtype=np.float64)
-
     if gt_boxes.shape[0] == 0:
-        return MatchResult(gt_index, class_targets, box_targets, 0)
+        return MatchResult(np.full(num_anchors, NEGATIVE, dtype=np.int64),
+                           class_targets, box_targets, 0)
 
     ious = iou_matrix(anchors.boxes, gt_boxes)  # (A, G)
+    best_gt = np.argmax(ious, axis=1)
+    best_iou = ious[np.arange(num_anchors), best_gt]
+    gt_index = np.select([best_iou >= pos_thr, best_iou < neg_thr], [best_gt, NEGATIVE], IGNORE)
 
     forced = np.full(num_anchors, False)
     for g in range(gt_boxes.shape[0]):
@@ -61,21 +63,8 @@ def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
             gt_index[best] = g
             forced[best] = True
 
-    best_gt = np.argmax(ious, axis=1)
-    best_iou = ious[np.arange(num_anchors), best_gt]
-    for a in range(num_anchors):
-        if forced[a]:
-            continue
-        if best_iou[a] >= pos_thr:
-            gt_index[a] = best_gt[a]
-        elif best_iou[a] < neg_thr:
-            gt_index[a] = NEGATIVE
-        else:
-            gt_index[a] = IGNORE
-
     pos = gt_index >= 0
     class_targets[pos] = gt_classes[gt_index[pos]]
     class_targets[gt_index == IGNORE] = -1
-    if np.any(pos):
-        box_targets[pos] = encode_boxes(gt_boxes[gt_index[pos]], anchors.boxes[pos])
+    box_targets[pos] = encode_boxes(gt_boxes[gt_index[pos]], anchors.boxes[pos])
     return MatchResult(gt_index, class_targets, box_targets, int(pos.sum()))

@@ -71,6 +71,9 @@ from .detector.loss import detection_loss_terms
 from .detector.matching import match_anchors
 
 
+CLASSIFIER_HIDDEN = 32  # hidden units of the domain classifier
+
+
 class DomainLabel(IntEnum):
     SOURCE = 0
     TARGET = 1
@@ -107,9 +110,9 @@ class LossBreakdown:
 class DomainClassifier(Module):
     """Two-layer MLP on pooled backbone features, one domain logit out."""
 
-    def __init__(self, in_features: int, hidden: int = 32, *, rng: np.random.Generator):
-        self.fc1 = Linear(in_features, hidden, rng=rng)
-        self.fc2 = Linear(hidden, 1, rng=rng)
+    def __init__(self, in_features: int, *, rng: np.random.Generator):
+        self.fc1 = Linear(in_features, CLASSIFIER_HIDDEN, rng=rng)
+        self.fc2 = Linear(CLASSIFIER_HIDDEN, 1, rng=rng)
 
     def __call__(self, pooled: Tensor) -> Tensor:
         return self.fc2(self.fc1(pooled).relu())
@@ -175,72 +178,55 @@ def _matches(batch, model):
             for s in batch]
 
 
-def _risk_sum(cls: Tensor, loc: Tensor, matches, rows):
-    """Sum of per-sample normalized losses for samples `rows` of a batch.
+def _risk_sum(feats, batch, matches, model, by_domain: bool):
+    """Sum of per-sample normalized losses over a batch.
 
-    cls: (B, A, K) head output; rows: indices into the batch dimension,
-    aligned with matches. Returns (sum Tensor, cls float, loc float).
+    Each sample is scored by the shared head, or with by_domain by the head
+    of its own domain; predict runs once per head over the whole batch.
+    Returns (sum Tensor, cls float, loc float).
     """
-    num_anchors = cls.data.shape[1]
-    flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
-    flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
+    heads = [int(s.domain) if by_domain else "invariant" for s in batch]
     total = None
     cls_val = 0.0
     loc_val = 0.0
-    for b, match in zip(rows, matches):
-        idx = np.arange(b * num_anchors, (b + 1) * num_anchors)
-        ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, idx),
-                                            gather_rows(flat_loc, idx), match)
-        norm = 1.0 / max(npos, 1)
-        sample = ct if lt is None else ct + lt
-        sample = sample * norm
-        cls_val += float(ct.data) * norm
-        if lt is not None:
+    for head in sorted(set(heads)):
+        cls, loc = model.predict(feats, head)
+        num_anchors = cls.data.shape[1]
+        flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
+        flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
+        for b, match in enumerate(matches):
+            if heads[b] != head:
+                continue
+            idx = np.arange(b * num_anchors, (b + 1) * num_anchors)
+            ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, idx),
+                                                gather_rows(flat_loc, idx), match)
+            norm = 1.0 / max(npos, 1)
+            sample = (ct + lt) * norm
+            cls_val += float(ct.data) * norm
             loc_val += float(lt.data) * norm
-        total = sample if total is None else total + sample
+            total = sample if total is None else total + sample
     return total, cls_val, loc_val
 
 
-def _invariant_risk_sum(feats, batch, matches, model):
-    """Risk sum over a batch through the shared head."""
-    cls, loc = model.predict(feats, "invariant")
-    return _risk_sum(cls, loc, matches, range(len(batch)))
-
-
-def _domain_risk_sum(feats, batch, matches, model):
-    """Per-domain-head risk sum; each sample scored by its own domain's head."""
-    total = None
-    cls_val = 0.0
-    loc_val = 0.0
-    for d in sorted({int(s.domain) for s in batch}):
-        rows = [b for b, s in enumerate(batch) if int(s.domain) == d]
-        cls, loc = model.predict(feats, d)
-        part, cv, lv = _risk_sum(cls, loc, [matches[b] for b in rows], rows)
-        cls_val += cv
-        loc_val += lv
-        total = part if total is None else total + part
-    return total, cls_val, loc_val
-
-
-def _mean_risk(batch, model, risk_sum, name: str) -> Tensor:
-    """Stack a batch, match its anchors, score it with risk_sum, and average."""
+def _mean_risk(batch, model, by_domain: bool, name: str) -> Tensor:
+    """Stack a batch, match its anchors, sum its risk, and average."""
     batch = list(batch)
     if not batch:
         raise ValueError(f"{name}: empty batch")
     _check_labeled(batch)
     feats = model.features(_stack_images(batch))
-    total, _, _ = risk_sum(feats, batch, _matches(batch, model), model)
+    total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, by_domain)
     return total * (1.0 / len(batch))
 
 
 def invariant_risk(batch, model) -> Tensor:
     """Mean detection loss of the shared head over a (possibly mixed) batch."""
-    return _mean_risk(batch, model, _invariant_risk_sum, "invariant_risk")
+    return _mean_risk(batch, model, False, "invariant_risk")
 
 
 def domain_risk(batch, model) -> Tensor:
     """Mean detection loss with each sample scored by its domain's own head."""
-    return _mean_risk(batch, model, _domain_risk_sum, "domain_risk")
+    return _mean_risk(batch, model, True, "domain_risk")
 
 
 def _graph_unless_zero(weight: float):
@@ -249,34 +235,28 @@ def _graph_unless_zero(weight: float):
 
 
 def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
-    batch_src, batch_tgt = list(batch_src), list(batch_tgt)
-    if not batch_src:
-        raise ValueError("empty source batch")
-    if not batch_tgt:
-        raise ValueError("empty target batch")
-    _check_labeled(batch_src + batch_tgt)
+    batches = list(batch_src), list(batch_tgt)
+    for name, batch in zip(("source", "target"), batches):
+        if not batch:
+            raise ValueError(f"empty {name} batch")
+    _check_labeled(batches[0] + batches[1])
 
-    feats_src = model.features(_stack_images(batch_src))
-    feats_tgt = model.features(_stack_images(batch_tgt))
-    ms = _matches(batch_src, model)
-    mt = _matches(batch_tgt, model)
-    n = len(batch_src) + len(batch_tgt)
+    feats = [model.features(_stack_images(batch)) for batch in batches]
+    matches = [_matches(batch, model) for batch in batches]
+    n = len(batches[0]) + len(batches[1])
 
-    sum_s, cs, ls = _invariant_risk_sum(feats_src, batch_src, ms, model)
-    sum_t, ct, lt = _invariant_risk_sum(feats_tgt, batch_tgt, mt, model)
-    l_i = (sum_s + sum_t) * (1.0 / n)
-    i_cls, i_loc = (cs + ct) / n, (ls + lt) / n
+    def mean_risk(feat_pair, by_domain):
+        (sum_s, cs, ls), (sum_t, ct, lt) = [_risk_sum(f, batch, m, model, by_domain)
+                                            for f, batch, m in zip(feat_pair, batches, matches)]
+        return (sum_s + sum_t) * (1.0 / n), (cs + ct) / n, (ls + lt) / n
 
+    l_i, i_cls, i_loc = mean_risk(feats, False)
     with _graph_unless_zero(cfg.lambda_risk):
-        rev_s = [grad_reverse(f, 1.0) for f in feats_src]
-        rev_t = [grad_reverse(f, 1.0) for f in feats_tgt]
-        dsum_s, dcs, dls = _domain_risk_sum(rev_s, batch_src, ms, model)
-        dsum_t, dct, dlt = _domain_risk_sum(rev_t, batch_tgt, mt, model)
-        l_d = (dsum_s + dsum_t) * (1.0 / n)
-    d_cls, d_loc = (dcs + dct) / n, (dls + dlt) / n
+        rev = [[grad_reverse(f, 1.0) for f in fs] for fs in feats]
+        l_d, d_cls, d_loc = mean_risk(rev, True)
 
     with _graph_unless_zero(cfg.lambda_rep):
-        rep = rep_loss(feats_src[-1], feats_tgt[-1], classifier, cfg.grl_lambda)
+        rep = rep_loss(feats[0][-1], feats[1][-1], classifier, cfg.grl_lambda)
 
     total = risk_loss(l_i, l_d, cfg.lambda_risk)
     if cfg.lambda_rep > 0.0:

@@ -199,9 +199,8 @@ def _evaluate_model(model, test_samples) -> tuple:
     for s in test_samples:
         gt[s.image_id] = [(tuple(float(v) for v in b), int(c))
                           for b, c in zip(s.gt_boxes, s.gt_classes)]
-        kept = forward_detect(model, s.image)
-        dets[s.image_id] = [(d.bbox, d.class_id, d.score) for d in kept]
-        records.extend((s.image_id, d) for d in kept)
+        dets[s.image_id] = forward_detect(model, s.image)
+        records.extend((s.image_id, d) for d in dets[s.image_id])
     return evaluate(EvalInput(gt=gt, detections=dets)), records
 
 

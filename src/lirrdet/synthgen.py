@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field, asdict
 from enum import Enum
@@ -88,13 +89,12 @@ class SceneSpec:
     def __post_init__(self):
         if self.size < 16:
             raise ValueError(f"size must be >= 16, got {self.size}")
-        lo, hi = self.polygon_sides
-        if lo < 3 or hi < lo:
-            raise ValueError(f"polygon_sides must satisfy 3 <= lo <= hi, got {self.polygon_sides}")
-        for name in ("scale_range", "position_range", "rotation_range"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ValueError(f"{name} must be ordered, got {getattr(self, name)}")
+        for name in ("polygon_sides", "scale_range", "position_range", "rotation_range"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or pair[1] < pair[0]:
+                raise ValueError(f"{name} must be an ordered (lo, hi) pair, got {pair}")
+        if self.polygon_sides[0] < 3:
+            raise ValueError(f"polygon_sides must start at 3 or more, got {self.polygon_sides}")
         if self.scale_range[0] <= 0:
             raise ValueError(f"scale_range must be positive, got {self.scale_range}")
         if self.position_range[0] < 0 or self.position_range[1] > 1:
@@ -413,8 +413,10 @@ def load_dataset(path) -> Dataset:
         raise DatasetError("missing header line")
     try:
         header = json.loads(raw[:nl])
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DatasetError(f"invalid header: {e}") from e
+    if not isinstance(header, dict):
+        raise DatasetError(f"header is not a JSON object: {header!r}")
     if header.get("format_version") != FORMAT_VERSION:
         raise DatasetError(f"unsupported format version {header.get('format_version')!r}, "
                            f"expected {FORMAT_VERSION}")
@@ -442,17 +444,45 @@ def load_dataset(path) -> Dataset:
                            f"match 'image_nbytes' {nbytes}")
     images = np.frombuffer(image_block, dtype="<f4").reshape((count, *shape)).copy()
 
-    lines = ann_block.decode().splitlines()
+    try:
+        lines = ann_block.decode().splitlines()
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"annotation block is not UTF-8: {e}") from e
     if len(lines) != count:
         raise DatasetError(f"annotation count {len(lines)} does not match header count {count}")
-    samples = []
-    for i, line in enumerate(lines):
+    return Dataset(samples=[_sample(i, line, images[i]) for i, line in enumerate(lines)],
+                   config=header.get("config", {}))
+
+
+def _json_int(v) -> int:
+    if isinstance(v, bool):  # JSON true/false are not integers here
+        raise TypeError(f"expected an integer, got {v!r}")
+    return operator.index(v)
+
+
+# annotation key -> (Sample field, conversion)
+_RECORD_FIELDS = {
+    "boxes": ("gt_boxes", lambda v: np.array(v, dtype=np.float64).reshape(-1, 4)),
+    "classes": ("gt_classes", lambda v: np.array(v, dtype=np.int64)),
+    "domain": ("domain", lambda v: DomainLabel(_json_int(v))),
+    "image_id": ("image_id", _json_int),
+}
+
+
+def _sample(i: int, line: str, image: np.ndarray) -> Sample:
+    try:
         rec = json.loads(line)
-        samples.append(Sample(
-            image=images[i],
-            gt_boxes=np.array(rec["boxes"], dtype=np.float64).reshape(-1, 4),
-            gt_classes=np.array(rec["classes"], dtype=np.int64),
-            domain=DomainLabel(rec["domain"]),
-            image_id=rec["image_id"],
-        ))
-    return Dataset(samples=samples, config=header.get("config", {}))
+    except json.JSONDecodeError as e:
+        raise DatasetError(f"annotation record {i} is not valid JSON: {e}") from e
+    if not isinstance(rec, dict):
+        raise DatasetError(f"annotation record {i} is not a JSON object")
+    fields = {}
+    for key, (name, convert) in _RECORD_FIELDS.items():
+        try:
+            fields[name] = convert(rec[key])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DatasetError(f"annotation record {i}: key {key!r} is missing or invalid ({e})") from e
+    if len(fields["gt_classes"]) != len(fields["gt_boxes"]):
+        raise DatasetError(f"annotation record {i}: {len(fields['gt_classes'])} 'classes' "
+                           f"for {len(fields['gt_boxes'])} 'boxes'")
+    return Sample(image=image, **fields)

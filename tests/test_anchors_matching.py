@@ -4,6 +4,7 @@ import pytest
 from lirrdet.detector import (
     IGNORE,
     NEGATIVE,
+    AnchorGrid,
     LevelSpec,
     encode_boxes,
     generate_anchors,
@@ -105,6 +106,18 @@ class TestMatchAnchors:
         assert m.gt_index[pick] == 0
         np.testing.assert_allclose(m.box_targets[pick], np.zeros(4), atol=1e-9)
         assert m.class_targets[pick] == 1
+
+    def test_threshold_boundaries(self):
+        # IoUs against the 10x10 GT are exact: 100/100, 50/100, 40/100, 39/100
+        boxes = np.array([[0, 0, 10, 10], [0, 0, 10, 5], [0, 0, 10, 4], [0, 0, 10, 3.9],
+                          [45, 45, 55, 55]], dtype=np.float64)
+        grid = AnchorGrid(boxes, np.zeros(5), np.ones(5))
+        gts = np.array([[0, 0, 10, 10], [40, 40, 50, 50]], dtype=np.float64)
+        m = match_anchors(gts, [1, 2], grid, pos_thr=0.5, neg_thr=0.4)
+        # anchor 4 is GT 1's best at IoU 25/175 < neg_thr and stays positive
+        np.testing.assert_array_equal(m.gt_index, [0, 0, IGNORE, NEGATIVE, 1])
+        np.testing.assert_array_equal(m.class_targets, [1, 1, -1, 0, 2])
+        assert m.num_positive == 3
 
     def test_empty_anchor_set_rejected(self):
         grid = _loose_grid()

@@ -6,9 +6,11 @@ import pytest
 
 from lirrdet.autodiff import SGD, Tensor, backward, precision
 from lirrdet.detector import (
+    IGNORE,
     NEGATIVE,
     Detector,
     LevelSpec,
+    MatchResult,
     ModelSpec,
     detection_loss,
     forward_detect,
@@ -178,6 +180,18 @@ class TestDetectionLoss:
         # non-positive anchors contribute no box-offset gradient
         assert np.all(to.grad[~match.positive_mask] == 0)
 
+    def test_all_ignored_is_tracked_zero(self):
+        logits, offsets, _ = self._random_case(13)
+        n = len(logits)
+        match = MatchResult(np.full(n, IGNORE), np.full(n, -1), np.zeros((n, 4)), 0)
+        tl = Tensor(logits, requires_grad=True)
+        to = Tensor(offsets, requires_grad=True)
+        loss = detection_loss(tl, to, match)
+        assert loss.item() == 0.0
+        backward(loss)
+        assert np.array_equal(tl.grad, np.zeros_like(logits))
+        assert np.array_equal(to.grad, np.zeros_like(offsets))
+
 
 class TestForwardDetect:
     def test_untrained_model_invariants(self):
@@ -190,6 +204,17 @@ class TestForwardDetect:
             x1, y1, x2, y2 = d.bbox
             assert 0 <= x1 <= x2 <= 32 and 0 <= y1 <= y2 <= 32
             assert d.class_id == 1
+
+    def test_output_feeds_evaluate(self):
+        from lirrdet.coco_eval import EvalInput, evaluate
+        m = small_model(3)
+        img = np.random.default_rng(4).uniform(0, 1, (1, 32, 32)).astype(np.float32)
+        dets = forward_detect(m, img)
+        assert dets
+        gt = {0: [((8.0, 8.0, 20.0, 20.0), 1)]}
+        got = evaluate(EvalInput(gt=gt, detections={0: dets}))
+        as_tuples = [(d.bbox, d.class_id, d.score) for d in dets]
+        assert got == evaluate(EvalInput(gt=gt, detections={0: as_tuples}))
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):

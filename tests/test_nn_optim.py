@@ -161,6 +161,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header,match", [(b"[1, 2]", "not a JSON object"),
+                                              (b"not json", "bad header")])
+    def test_garbage_header_rejected(self, tmp_path, header, match):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(header + b"\n\x00\x00\x80\x3f")
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_mixed_dtypes_rejected(self, tmp_path):
         state = {"a": np.ones(2, dtype=np.float32), "b": np.ones(2, dtype=np.float64)}
         with pytest.raises(CheckpointError):

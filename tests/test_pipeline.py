@@ -467,6 +467,7 @@ class TestCli:
         ("gen", {"source_count": "5"}, "config key source_count must be an integer"),
         ("gen", {"source": {"noise_sigma": "x"}}, "config key source.noise_sigma must be a number"),
         ("gen", {"scene": {"foo": 1}}, "unknown config keys: ['scene.foo']"),
+        ("gen", {"scene": {"polygon_sides": [3]}}, "polygon_sides"),
     ])
     def test_bad_config_value_reported(self, tmp_path, capsys, command, config, message):
         if command == "train":

@@ -58,9 +58,11 @@ class TestParamValidation:
         {"scale_range": (0.0, 0.2)},
         {"position_range": (-0.1, 0.5)},
         {"position_range": (0.2, 1.2)},
+        {"polygon_sides": (3,)},
+        {"scale_range": (0.1, 0.2, 0.3)},
     ])
     def test_scene_spec_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SceneSpec(**kwargs)
 
 
@@ -306,10 +308,49 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match=match):
             load_dataset(bad)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda rec: [1, 2], "record 1 is not a JSON object"),
+        (lambda rec: b"{", "record 1 is not valid JSON"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "boxes"}, "record 1: key 'boxes'"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "image_id"}, "record 1: key 'image_id'"),
+        (lambda rec: {**rec, "domain": 7}, "record 1: key 'domain'"),
+        (lambda rec: {**rec, "boxes": [1.0, 2.0, 3.0]}, "record 1: key 'boxes'"),
+        (lambda rec: {**rec, "image_id": "a"}, "record 1: key 'image_id'"),
+        (lambda rec: {**rec, "domain": True}, "record 1: key 'domain'"),
+        (lambda rec: {**rec, "classes": []}, "record 1: 0 'classes' for"),
+        (lambda rec: b"\xff", "annotation block is not UTF-8"),
+    ], ids=["array", "bad-json", "no-boxes", "no-image_id", "domain-7", "boxes-3", "image_id-str",
+            "domain-true", "classes-count", "not-utf8"])
+    def test_bad_annotation_record(self, tmp_path, edit, match):
+        import json
+        import zlib
+        samples, _ = self.make_small_dataset()
+        path = tmp_path / "data.bin"
+        save_dataset(samples, path)
+        blob = path.read_bytes()
+        header_end = blob.find(b"\n")
+        header = json.loads(blob[:header_end])
+        ann_start = header_end + 1 + header["image_nbytes"]
+        lines = blob[ann_start:].splitlines()
+        edited = edit(json.loads(lines[1]))
+        lines[1] = edited if isinstance(edited, bytes) else json.dumps(edited).encode()
+        ann_block = b"\n".join(lines) + b"\n"
+        header["annotation_crc32"] = zlib.crc32(ann_block)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(header).encode() + blob[header_end:ann_start] + ann_block)
+        with pytest.raises(DatasetError, match=match):
+            load_dataset(bad)
+
     def test_garbage_header(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not json\n\x00\x01")
         with pytest.raises(DatasetError, match="header"):
+            load_dataset(bad)
+        bad.write_bytes(b"[1, 2]\n\x00\x01")
+        with pytest.raises(DatasetError, match="header is not a JSON object"):
+            load_dataset(bad)
+        bad.write_bytes(b"\xff\xfe\xfa\n\x00")
+        with pytest.raises(DatasetError, match="invalid header"):
             load_dataset(bad)
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
