@@ -68,6 +68,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 and all(isinstance(d, int) and d >= 0 for d in entry["shape"])):
             raise CheckpointError(f"{path}: header 'params' entry {entry!r} needs a name "
                                   "and a shape of non-negative integers")
+        if entry["name"] in state:
+            raise CheckpointError(f"{path}: header 'params' names {entry['name']!r} twice")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * dtype.itemsize

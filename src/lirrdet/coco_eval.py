@@ -9,11 +9,11 @@ scores 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .detector.boxes import iou
+from .detector.boxes import iou_matrix
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -29,13 +29,6 @@ class EvalInput:
     """
     gt: dict
     detections: dict
-
-
-@dataclass
-class PRCurve:
-    iou_threshold: float
-    recall: np.ndarray       # the 101-point grid
-    precision: np.ndarray    # envelope-interpolated, same length
 
 
 @dataclass
@@ -55,12 +48,6 @@ class APReport:
             "thresholds": list(self.thresholds),
         }
 
-    @classmethod
-    def from_dict(cls, d) -> "APReport":
-        return cls(ap=d["ap"], ap50=d["ap50"], ap75=d["ap75"],
-                   per_threshold=list(d["per_threshold"]),
-                   thresholds=tuple(d["thresholds"]))
-
 
 def match_detections(dets, gts, iou_thr: float) -> np.ndarray:
     """Greedy TP/FP assignment for one image.
@@ -72,21 +59,16 @@ def match_detections(dets, gts, iou_thr: float) -> np.ndarray:
     """
     if not 0.0 < iou_thr <= 1.0:
         raise ValueError(f"match_detections: iou_thr {iou_thr} outside (0, 1]")
+    ious = iou_matrix([d[0] for d in dets], [g[0] for g in gts])
+    same_class = np.array([d[1] for d in dets])[:, None] == np.array([g[1] for g in gts])[None, :]
+    ious[~(same_class & (ious >= iou_thr))] = -1.0
     flags = np.zeros(len(dets), dtype=bool)
-    taken = [False] * len(gts)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
-    for i in order:
-        bbox, cls, _ = dets[i]
-        best_g, best = -1, 0.0
-        for g, (gbox, gcls) in enumerate(gts):
-            if taken[g] or gcls != cls:
-                continue
-            v = iou(bbox, gbox)
-            if v >= iou_thr and v > best:
-                best, best_g = v, g
-        if best_g >= 0:
-            taken[best_g] = True
+    order = np.argsort([-d[2] for d in dets], kind="stable")
+    for i in order[(ious >= 0.0).any(axis=1)[order]]:
+        g = int(np.argmax(ious[i]))  # the first of equal IoUs: the lowest GT index
+        if ious[i, g] >= 0.0:
             flags[i] = True
+            ious[:, g] = -1.0  # taken
     return flags
 
 
@@ -97,44 +79,37 @@ def average_precision(flags, num_gt: int) -> float:
     flags = np.asarray(flags, dtype=bool)
     if num_gt == 0:
         return 0.0 if flags.size else -1.0
-    # the curve's threshold is only a label; AP depends on the flags alone
-    return float(pr_curve(flags, num_gt, float("nan")).precision.mean())
+    return float(pr_curve(flags, num_gt).mean())
 
 
-def pr_curve(flags, num_gt: int, iou_thr: float) -> PRCurve:
-    """The interpolated curve behind average_precision, for inspection."""
+def pr_curve(flags, num_gt: int) -> np.ndarray:
+    """The envelope precision at each of the 101 RECALL_GRID points."""
     flags = np.asarray(flags, dtype=bool)
-    sampled = np.zeros_like(RECALL_GRID)
-    if num_gt > 0 and flags.size:
-        tp = np.cumsum(flags)
-        fp = np.cumsum(~flags)
-        recall = tp / num_gt
-        precision = tp / (tp + fp)
-        env = np.maximum.accumulate(precision[::-1])[::-1]
-        idx = np.searchsorted(recall, RECALL_GRID, side="left")
-        sampled = np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
-    return PRCurve(iou_threshold=iou_thr, recall=RECALL_GRID.copy(), precision=sampled)
+    if num_gt <= 0 or not flags.size:
+        return np.zeros_like(RECALL_GRID)
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
+    recall = tp / num_gt
+    precision = tp / (tp + fp)
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(recall, RECALL_GRID, side="left")
+    return np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
 
 
 def _pooled_class_flags(eval_input: EvalInput, cls: int, thr: float):
-    """Flags and scores for one class pooled over images, score-sorted."""
+    """TP/FP flags of one class pooled over images, in score order."""
     scores, flags = [], []
-    for pool_order, iid in enumerate(sorted(eval_input.gt)):
+    for iid in sorted(eval_input.gt):
         dets = [d for d in eval_input.detections.get(iid, []) if d[1] == cls]
         gts = [g for g in eval_input.gt[iid] if g[1] == cls]
-        f = match_detections(dets, gts, thr)
-        for j, d in enumerate(dets):
-            scores.append(d[2])
-            flags.append(f[j])
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return np.array([flags[i] for i in order], dtype=bool)
+        scores += [d[2] for d in dets]
+        flags.append(match_detections(dets, gts, thr))
+    return np.concatenate(flags)[np.argsort(np.negative(scores), kind="stable")]
 
 
 def _cap_detections(dets):
-    if len(dets) <= MAX_DETS:
-        return list(dets)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][2], i))
-    keep = sorted(order[:MAX_DETS])
+    """The MAX_DETS highest-scoring detections (ties keep input order), in input order."""
+    keep = np.sort(np.argsort(np.negative([d[2] for d in dets]), kind="stable")[:MAX_DETS])
     return [dets[i] for i in keep]
 
 

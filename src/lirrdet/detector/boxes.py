@@ -1,7 +1,8 @@
 """Box geometry: IoU, anchor offset encoding, and greedy NMS.
 
 Boxes are corner-format (x1, y1, x2, y2) in continuous pixel coordinates,
-so width is x2 - x1 with no +1 convention.
+so width is x2 - x1 with no +1 convention. The package computes every IoU
+with ``iou_matrix``; the scalar ``iou`` is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ class Detection(NamedTuple):
 
 
 def iou(a, b) -> float:
+    """IoU of two boxes; the tests' reference for ``iou_matrix``, bit for bit."""
     ix1 = max(a[0], b[0])
     iy1 = max(a[1], b[1])
     ix2 = min(a[2], b[2])
@@ -58,8 +60,7 @@ def _to_center(boxes: np.ndarray):
     return cx, cy, w, h
 
 
-def encode_boxes(gt: np.ndarray, anchors: np.ndarray,
-                 variances=VARIANCES) -> np.ndarray:
+def encode_boxes(gt: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Offsets (dx, dy, dw, dh) mapping anchors onto gt boxes.
 
     dx = (cx_g - cx_a) / (w_a * vx), dw = ln(w_g / w_a) / vw, and likewise
@@ -71,7 +72,7 @@ def encode_boxes(gt: np.ndarray, anchors: np.ndarray,
     acx, acy, aw, ah = _to_center(anchors)
     if np.any(gw <= 0) or np.any(gh <= 0):
         raise ValueError("encode_boxes: ground-truth box has non-positive width or height")
-    vx, vy, vw, vh = variances
+    vx, vy, vw, vh = VARIANCES
     return np.stack([
         (gcx - acx) / (aw * vx),
         (gcy - acy) / (ah * vy),
@@ -80,13 +81,12 @@ def encode_boxes(gt: np.ndarray, anchors: np.ndarray,
     ], axis=-1)
 
 
-def decode_boxes(offsets: np.ndarray, anchors: np.ndarray,
-                 variances=VARIANCES, image_size=None) -> np.ndarray:
+def decode_boxes(offsets: np.ndarray, anchors: np.ndarray, image_size=None) -> np.ndarray:
     """Inverse of encode_boxes; clamps to [0, image_size] when given."""
     offsets = np.asarray(offsets, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
     acx, acy, aw, ah = _to_center(anchors)
-    vx, vy, vw, vh = variances
+    vx, vy, vw, vh = VARIANCES
     cx = offsets[..., 0] * vx * aw + acx
     cy = offsets[..., 1] * vy * ah + acy
     w = np.exp(offsets[..., 2] * vw) * aw
@@ -105,18 +105,15 @@ def nms(dets: list, iou_thr: float) -> list:
     """
     if not 0.0 <= iou_thr <= 1.0:
         raise ValueError(f"nms: iou_thr {iou_thr} outside [0, 1]")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    bboxes = [d.bbox for d in dets]
-    classes = [d.class_id for d in dets]
+    order = np.argsort([-d.score for d in dets], kind="stable")
+    boxes = np.array([dets[i].bbox for i in order])
+    classes = np.array([dets[i].class_id for i in order])
+    # hits[p, q]: box p, if kept, suppresses box q (boxes before p are settled)
+    hits = (iou_matrix(boxes, boxes) > iou_thr) & (classes[:, None] == classes[None, :])
     keep = []
-    suppressed = [False] * len(dets)
+    suppressed = np.zeros(len(dets), dtype=bool)
     for pos, idx in enumerate(order):
-        if suppressed[idx]:
-            continue
-        keep.append(dets[idx])
-        for later in order[pos + 1:]:
-            if suppressed[later]:
-                continue
-            if classes[later] == classes[idx] and iou(bboxes[later], bboxes[idx]) > iou_thr:
-                suppressed[later] = True
+        if not suppressed[pos]:
+            keep.append(dets[idx])
+            suppressed |= hits[pos]
     return keep

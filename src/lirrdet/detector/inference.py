@@ -9,13 +9,15 @@ import numpy as np
 from ..autodiff import Tensor, default_dtype, no_grad
 from .boxes import Detection, decode_boxes, nms
 
+NMS_THR = 0.5
+MAX_DETS = 100
 
-def forward_detect(model, image, score_thr: float = 0.05, nms_thr: float = 0.5,
-                   max_dets: int = 100) -> list:
+
+def forward_detect(model, image, score_thr: float = 0.05) -> list:
     """Run the always-on head over one image and return kept detections.
 
     Softmax per anchor, background dropped, score threshold, decode with
-    clamping to the image, class-aware greedy NMS, then the top max_dets
+    clamping to the image, class-aware greedy NMS, then the top MAX_DETS
     by score.
     """
     x = np.asarray(image, dtype=default_dtype())
@@ -37,12 +39,12 @@ def forward_detect(model, image, score_thr: float = 0.05, nms_thr: float = 0.5,
     probs = e / e.sum(axis=1, keepdims=True)
     boxes = decode_boxes(loc.data[0], model.anchors.boxes, image_size=spec.image_size)
 
-    dets = []
-    for k in range(1, spec.num_logits):
-        for a in np.flatnonzero(probs[:, k] >= score_thr):
-            dets.append(Detection(tuple(float(v) for v in boxes[a]), int(k),
-                                  float(probs[a, k])))
-    return nms(dets, nms_thr)[:max_dets]
+    # class-major, anchor-ascending: the order nms breaks score ties by
+    k, a = np.nonzero(probs[:, 1:].T >= score_thr)
+    k += 1
+    dets = [Detection(tuple(b), c, s)
+            for b, c, s in zip(boxes[a].tolist(), k.tolist(), probs[a, k].tolist())]
+    return nms(dets, NMS_THR)[:MAX_DETS]
 
 
 def save_detections(path, records) -> None:

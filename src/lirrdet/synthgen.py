@@ -427,6 +427,9 @@ def load_dataset(path) -> Dataset:
     shape = header.get("image_shape")
     if not isinstance(shape, list) or not all(isinstance(d, int) and d > 0 for d in shape):
         raise DatasetError(f"header 'image_shape' {shape!r} is missing or not positive integers")
+    config = header.get("config", {})
+    if not isinstance(config, dict):
+        raise DatasetError(f"header 'config' {config!r} is not a JSON object")
 
     body = raw[nl + 1:]
     nbytes = header["image_nbytes"]
@@ -451,7 +454,7 @@ def load_dataset(path) -> Dataset:
     if len(lines) != count:
         raise DatasetError(f"annotation count {len(lines)} does not match header count {count}")
     return Dataset(samples=[_sample(i, line, images[i]) for i, line in enumerate(lines)],
-                   config=header.get("config", {}))
+                   config=config)
 
 
 def _json_int(v) -> int:

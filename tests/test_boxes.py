@@ -51,12 +51,23 @@ class TestIoU:
                 assert v == pytest.approx(ref_iou(a, b), abs=1e-12)
 
     def test_matrix_matches_scalar(self):
+        # bit for bit: nms and match_detections must decide exactly as the scalar
+        # reference does, also on integer-snapped boxes and zero-area boxes
         rng = np.random.default_rng(21)
         a, b = random_boxes(rng, 12), random_boxes(rng, 7)
+        a, b = np.vstack([a, np.round(a), [[5, 5, 5, 9]]]), np.vstack([b, np.round(b)])
         m = iou_matrix(a, b)
-        for i in range(12):
-            for j in range(7):
-                assert m[i, j] == pytest.approx(iou(a[i], b[j]), abs=1e-12)
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert m[i, j] == iou(a[i], b[j])
+
+    def test_matrix_symmetric(self):
+        # nms reads one triangle of iou_matrix(boxes, boxes)
+        rng = np.random.default_rng(23)
+        a, b = random_boxes(rng, 30), random_boxes(rng, 20)
+        a[::3] = np.round(a[::3])
+        np.testing.assert_array_equal(iou_matrix(a, b), iou_matrix(b, a).T)
+        np.testing.assert_array_equal(iou_matrix(a, a), iou_matrix(a, a).T)
 
 
 class TestEncodeDecode:
@@ -104,6 +115,26 @@ def brute_nms(dets, thr):
     return kept
 
 
+def small_dets(rng):
+    boxes = random_boxes(rng, 20, size=32, min_side=4)
+    return [Detection(tuple(b), int(rng.integers(1, 3)), float(rng.uniform(0, 1)))
+            for b in boxes]
+
+
+def benchmark_size_dets(rng):
+    """About as many candidates as an untrained detector sends to NMS (480),
+    with tied scores, a few zero-area boxes, and five pairs whose IoU is
+    exactly 0.4 (a 10x10 box, then its own lower 10x4 strip)."""
+    boxes = random_boxes(rng, 390, size=64, min_side=2)
+    boxes[::40, 2] = boxes[::40, 0]
+    dets = [Detection(tuple(b), int(rng.integers(1, 3)), float(rng.integers(1, 20)) / 20)
+            for b in boxes]
+    for x, y in rng.integers(0, 54, size=(5, 2)).tolist():
+        dets += [Detection((x, y, x + 10, y + 10), 1, 1.0),
+                 Detection((x, y, x + 10, y + 4), 1, float(rng.integers(1, 20)) / 20)]
+    return dets
+
+
 class TestNMS:
     def test_single(self):
         d = Detection((0, 0, 4, 4), 1, 0.7)
@@ -124,12 +155,11 @@ class TestNMS:
         b = Detection((0.5, 0, 4.5, 4), 1, 0.8)
         assert nms([a, b], 0.3) == [a]
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        boxes = random_boxes(rng, 20, size=32, min_side=4)
-        dets = [Detection(tuple(b), int(rng.integers(1, 3)), float(rng.uniform(0, 1)))
-                for b in boxes]
+    @pytest.mark.parametrize("seed,make", [(s, small_dets) for s in range(5)]
+                             + [(5, benchmark_size_dets)],
+                             ids=[*map(str, range(5)), "400-boxes"])
+    def test_matches_brute_force(self, seed, make):
+        dets = make(np.random.default_rng(100 + seed))
         got = nms(dets, 0.4)
         want = [dets[i] for i in brute_nms(dets, 0.4)]
         assert got == want

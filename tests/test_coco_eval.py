@@ -7,7 +7,6 @@ import pytest
 from lirrdet.coco_eval import (
     IOU_THRESHOLDS,
     RECALL_GRID,
-    APReport,
     EvalInput,
     average_precision,
     evaluate,
@@ -104,6 +103,29 @@ def random_eval_input(rng, num_images=20, num_classes=2, distinct_scores=False):
     return EvalInput(gt=gt, detections=dets)
 
 
+def ten_by_ten(rng):
+    gts = [(tuple(b), int(rng.integers(1, 3)))
+           for b in random_boxes(rng, 10, size=48, min_side=6)]
+    dets = [(tuple(b + rng.normal(0, 3, 4)), int(rng.integers(1, 3)),
+             float(rng.uniform())) for b, _ in [(np.array(g[0]), g) for g in gts]]
+    return dets, gts
+
+
+def hundred_by_ten(rng):
+    """As many detections as the evaluator keeps per image, crowding eight GTs
+    of two classes, with quantized scores and one exact IoU tie."""
+    base = np.round(random_boxes(rng, 1, size=56, min_side=16)[0])
+    boxes = base + rng.integers(-4, 5, size=(8, 4))
+    gts = [(tuple(b), int(c)) for b, c in zip(boxes, [1, 2, 1, 2, 1, 1, 1, 1])]
+    dets = [(tuple(boxes[g] + rng.integers(-2, 3, 4)), int(rng.integers(1, 3)),
+             float(rng.integers(1, 10)) / 10) for g in rng.integers(0, 8, size=98)]
+    # an exact IoU tie: the best det is as close to GT 8 as to GT 9, and the
+    # next one reaches only GT 9, so only the lowest-index rule matches both
+    gts += [((100.0, 100.0, 110.0, 110.0), 1), ((102.0, 100.0, 112.0, 110.0), 1)]
+    dets += [((101.0, 100.0, 111.0, 110.0), 1, 1.0), ((104.0, 100.0, 114.0, 110.0), 1, 0.95)]
+    return dets, gts
+
+
 # --- tests -------------------------------------------------------------------
 
 class TestMatchDetections:
@@ -127,13 +149,11 @@ class TestMatchDetections:
         with pytest.raises(ValueError):
             match_detections([], [], 0.0)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_reference_10x10(self, seed):
-        rng = np.random.default_rng(700 + seed)
-        gts = [(tuple(b), int(rng.integers(1, 3)))
-               for b in random_boxes(rng, 10, size=48, min_side=6)]
-        dets = [(tuple(b + rng.normal(0, 3, 4)), int(rng.integers(1, 3)),
-                 float(rng.uniform())) for b, _ in [(np.array(g[0]), g) for g in gts]]
+    @pytest.mark.parametrize("seed,make", [(s, ten_by_ten) for s in range(10)]
+                             + [(10, hundred_by_ten)],
+                             ids=[*map(str, range(10)), "100x10"])
+    def test_matches_reference_10x10(self, seed, make):
+        dets, gts = make(np.random.default_rng(700 + seed))
         got = match_detections(dets, gts, 0.5)
         want = ref_match(dets, gts, 0.5)
         assert got.tolist() == want
@@ -169,8 +189,8 @@ class TestAveragePrecision:
     def test_envelope_non_increasing(self):
         rng = np.random.default_rng(900)
         flags = rng.uniform(size=30) < 0.4
-        curve = pr_curve(flags, int(flags.sum()) + 2, 0.5)
-        assert np.all(np.diff(curve.precision) <= 1e-15)
+        precision = pr_curve(flags, int(flags.sum()) + 2)
+        assert np.all(np.diff(precision) <= 1e-15)
 
 
 class TestEvaluate:
@@ -201,10 +221,20 @@ class TestEvaluate:
         want = ref_evaluate(inp)
         np.testing.assert_allclose(rep.per_threshold, want, atol=1e-9)
 
-    def test_report_round_trip(self):
-        rng = np.random.default_rng(32)
-        rep = evaluate(random_eval_input(rng))
-        assert APReport.from_dict(rep.to_dict()) == rep
+    def test_keeps_top_100_per_image(self):
+        # 150 jittered hits on two GTs, scores tied in 29 levels
+        rng = np.random.default_rng(38)
+        gt = {0: [((10.0, 10.0, 30.0, 30.0), 1), ((30.0, 30.0, 50.0, 44.0), 2)]}
+        many = [(tuple(np.array(gt[0][i % 2][0]) + rng.normal(0, 3, 4)), gt[0][i % 2][1],
+                 float(rng.integers(1, 30)) / 30) for i in range(150)]
+        top = sorted(range(150), key=lambda i: (-many[i][2], i))[:100]
+        capped = [many[i] for i in sorted(top)]
+        assert (evaluate(EvalInput(gt=gt, detections={0: many})).per_threshold
+                == evaluate(EvalInput(gt=gt, detections={0: capped})).per_threshold)
+        # a score tie at the cut keeps input order: the 101st detection, a hit, goes
+        box, far = (10.0, 10.0, 30.0, 30.0), (40.0, 40.0, 60.0, 60.0)
+        dets = [(far, 1, 0.9)] * 100 + [(box, 1, 0.9)]
+        assert evaluate(EvalInput(gt={0: [(box, 1)]}, detections={0: dets})).ap == 0.0
 
     def test_detections_on_unlisted_image_rejected(self):
         box = (10.0, 10.0, 30.0, 30.0)

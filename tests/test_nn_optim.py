@@ -169,6 +169,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
+    def test_duplicate_param_name_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"name": "b"', b'"name": "a"', 1))
+        with pytest.raises(CheckpointError, match="'a' twice"):
+            load_checkpoint(path)
+
     def test_mixed_dtypes_rejected(self, tmp_path):
         state = {"a": np.ones(2, dtype=np.float32), "b": np.ones(2, dtype=np.float64)}
         with pytest.raises(CheckpointError):

@@ -290,6 +290,7 @@ class TestSaveLoad:
         ("image_shape", [-1, 32, -32], "image_shape"),
         ("image_shape", "abc", "image_shape"),
         ("image_nbytes", "x", "image_nbytes"),
+        ("config", [1, 2], "config"),
     ])
     def test_bad_header_field(self, tmp_path, key, value, match):
         import json
