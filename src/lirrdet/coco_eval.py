@@ -61,9 +61,14 @@ def match_detections(dets, gts, iou_thr: float) -> np.ndarray:
         raise ValueError(f"match_detections: iou_thr {iou_thr} outside (0, 1]")
     ious = iou_matrix([d[0] for d in dets], [g[0] for g in gts])
     same_class = np.array([d[1] for d in dets])[:, None] == np.array([g[1] for g in gts])[None, :]
-    ious[~(same_class & (ious >= iou_thr))] = -1.0
-    flags = np.zeros(len(dets), dtype=bool)
-    order = np.argsort([-d[2] for d in dets], kind="stable")
+    ious[~same_class] = -1.0
+    return _greedy_flags(ious, np.argsort([-d[2] for d in dets], kind="stable"), iou_thr)
+
+
+def _greedy_flags(ious: np.ndarray, order: np.ndarray, iou_thr: float) -> np.ndarray:
+    """match_detections on a detections x GTs IoU matrix (-1 where the classes differ)."""
+    ious = np.where(ious >= iou_thr, ious, -1.0)
+    flags = np.zeros(len(ious), dtype=bool)
     for i in order[(ious >= 0.0).any(axis=1)[order]]:
         g = int(np.argmax(ious[i]))  # the first of equal IoUs: the lowest GT index
         if ious[i, g] >= 0.0:
@@ -96,15 +101,22 @@ def pr_curve(flags, num_gt: int) -> np.ndarray:
     return np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
 
 
-def _pooled_class_flags(eval_input: EvalInput, cls: int, thr: float):
-    """TP/FP flags of one class pooled over images, in score order."""
+def _pooled_class_flags(eval_input: EvalInput, cls: int, thresholds) -> np.ndarray:
+    """TP/FP flags of one class pooled over images in score order, one row per threshold.
+
+    Each image's detections x GTs IoU matrix is built once and thresholded
+    at every level.
+    """
     scores, flags = [], []
     for iid in sorted(eval_input.gt):
         dets = [d for d in eval_input.detections.get(iid, []) if d[1] == cls]
         gts = [g for g in eval_input.gt[iid] if g[1] == cls]
+        ious = iou_matrix([d[0] for d in dets], [g[0] for g in gts])
+        order = np.argsort([-d[2] for d in dets], kind="stable")
         scores += [d[2] for d in dets]
-        flags.append(match_detections(dets, gts, thr))
-    return np.concatenate(flags)[np.argsort(np.negative(scores), kind="stable")]
+        flags.append(np.array([_greedy_flags(ious, order, thr) for thr in thresholds],
+                              dtype=bool).reshape(len(thresholds), len(dets)))
+    return np.concatenate(flags, axis=1)[:, np.argsort(np.negative(scores), kind="stable")]
 
 
 def _cap_detections(dets):
@@ -118,6 +130,9 @@ def evaluate(eval_input: EvalInput, thresholds=IOU_THRESHOLDS) -> APReport:
     unknown = [iid for iid in eval_input.detections if iid not in eval_input.gt]
     if unknown:
         raise ValueError(f"detections for image id {unknown[0]!r}, which the ground truth does not list")
+    bad = [thr for thr in thresholds if not 0.0 < thr <= 1.0]
+    if bad:
+        raise ValueError(f"evaluate: IoU threshold {bad[0]} outside (0, 1]")
     capped = {iid: _cap_detections(d) for iid, d in eval_input.detections.items()}
     data = EvalInput(gt=eval_input.gt, detections=capped)
 
@@ -128,13 +143,12 @@ def evaluate(eval_input: EvalInput, thresholds=IOU_THRESHOLDS) -> APReport:
     num_gt = {c: sum(1 for gts in data.gt.values() for _, gc in gts if gc == c)
               for c in classes}
 
+    # per_class[i][t]: AP of classes[i] at thresholds[t]
+    per_class = [[average_precision(f, num_gt[c]) for f in _pooled_class_flags(data, c, thresholds)]
+                 for c in classes]
     per_threshold = []
-    for thr in thresholds:
-        per_class = []
-        for c in classes:
-            flags = _pooled_class_flags(data, c, thr)
-            per_class.append(average_precision(flags, num_gt[c]))
-        valid = [a for a in per_class if a >= 0.0]
+    for t in range(len(thresholds)):
+        valid = [aps[t] for aps in per_class if aps[t] >= 0.0]
         per_threshold.append(float(np.mean(valid)) if valid else -1.0)
 
     ap = float(np.mean(per_threshold))

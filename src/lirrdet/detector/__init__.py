@@ -3,7 +3,7 @@ from .anchors import AnchorGrid, LevelSpec, generate_anchors
 from .matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from .model import Detector, ModelSpec
 from .loss import detection_loss
-from .inference import forward_detect, load_detections, save_detections
+from .inference import forward_detect, save_detections
 
 __all__ = [
     "AnchorGrid",
@@ -21,7 +21,6 @@ __all__ = [
     "generate_anchors",
     "iou",
     "iou_matrix",
-    "load_detections",
     "match_anchors",
     "nms",
     "save_detections",

@@ -12,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 VARIANCES = (0.1, 0.1, 0.2, 0.2)
+NMS_BLOCK = 16  # candidates per block of IoU rows in nms
 
 
 class Detection(NamedTuple):
@@ -97,23 +98,34 @@ def decode_boxes(offsets: np.ndarray, anchors: np.ndarray, image_size=None) -> n
     return boxes
 
 
-def nms(dets: list, iou_thr: float) -> list:
-    """Greedy non-maximum suppression.
+def nms(dets: list, iou_thr: float, max_keep: int | None = None) -> list:
+    """Greedy non-maximum suppression, stopping at the max_keep-th kept box.
 
     Score-descending order (ties keep lower input index); a kept box
-    suppresses later boxes of the same class with IoU > iou_thr.
+    suppresses later boxes of the same class with IoU > iou_thr. Whether
+    the box at position p is kept depends only on the kept boxes before p,
+    so the first max_keep keeps are those of the uncapped walk. IoU rows
+    are computed NMS_BLOCK candidates at a time, each block against itself
+    and the candidates after it, and no block past the last keep is scored.
     """
     if not 0.0 <= iou_thr <= 1.0:
         raise ValueError(f"nms: iou_thr {iou_thr} outside [0, 1]")
+    if max_keep is not None and max_keep < 1:
+        raise ValueError(f"nms: max_keep {max_keep} must be at least 1")
     order = np.argsort([-d.score for d in dets], kind="stable")
     boxes = np.array([dets[i].bbox for i in order])
     classes = np.array([dets[i].class_id for i in order])
-    # hits[p, q]: box p, if kept, suppresses box q (boxes before p are settled)
-    hits = (iou_matrix(boxes, boxes) > iou_thr) & (classes[:, None] == classes[None, :])
     keep = []
     suppressed = np.zeros(len(dets), dtype=bool)
-    for pos, idx in enumerate(order):
-        if not suppressed[pos]:
-            keep.append(dets[idx])
-            suppressed |= hits[pos]
+    for start in range(0, len(dets), NMS_BLOCK):
+        stop = start + NMS_BLOCK
+        # hits[p, q]: box start+p, if kept, suppresses box start+q
+        hits = ((iou_matrix(boxes[start:stop], boxes[start:]) > iou_thr)
+                & (classes[start:stop, None] == classes[None, start:]))
+        for p, idx in enumerate(order[start:stop], start):
+            if not suppressed[p]:
+                keep.append(dets[idx])
+                if len(keep) == max_keep:
+                    return keep
+                suppressed[start:] |= hits[p - start]
     return keep

@@ -17,8 +17,9 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
     """Run the always-on head over one image and return kept detections.
 
     Softmax per anchor, background dropped, score threshold, decode with
-    clamping to the image, class-aware greedy NMS, then the top MAX_DETS
-    by score.
+    clamping to the image, then class-aware greedy NMS that stops at its
+    MAX_DETS-th kept box. Those are the MAX_DETS highest-scoring boxes the
+    uncapped NMS keeps; candidates after the last keep are never scored.
     """
     x = np.asarray(image, dtype=default_dtype())
     if x.ndim == 3:
@@ -44,7 +45,7 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
     k += 1
     dets = [Detection(tuple(b), c, s)
             for b, c, s in zip(boxes[a].tolist(), k.tolist(), probs[a, k].tolist())]
-    return nms(dets, NMS_THR)[:MAX_DETS]
+    return nms(dets, NMS_THR, MAX_DETS)
 
 
 def save_detections(path, records) -> None:
@@ -57,14 +58,3 @@ def save_detections(path, records) -> None:
                 "score": float(det.score),
                 "bbox": [float(v) for v in det.bbox],
             }) + "\n")
-
-
-def load_detections(path) -> list:
-    """Read a detection dump back as a list of dicts."""
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

@@ -3,8 +3,10 @@ an independently written greedy reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lirrdet.detector import Detection, decode_boxes, encode_boxes, iou, iou_matrix, nms
+from lirrdet.detector.boxes import NMS_BLOCK
 
 
 def ref_iou(a, b):
@@ -175,3 +177,31 @@ class TestNMS:
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
                 assert iou(out[i].bbox, out[j].bbox) <= 0.45
+
+    def test_bad_max_keep_rejected(self):
+        d = Detection((0, 0, 4, 4), 1, 0.7)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="max_keep"):
+                nms([d], 0.5, k)
+
+
+# sizes at and on both sides of block edges, and the 480 candidates of an
+# untrained 64-px detector
+BLOCK_EDGE_SIZES = (0, 1, *(m * NMS_BLOCK + d for m in (1, 2, 4) for d in (-1, 0, 1)), 480)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(num_classes=st.integers(1, 3), score_levels=st.sampled_from([3, 20, 2**20]),
+       thr=st.sampled_from([0.0, 0.3, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_capped_nms_is_a_prefix_of_brute_force(n, num_classes, score_levels, thr, seed):
+    # nms(dets, thr, k) keeps exactly the first k boxes of the uncapped greedy walk
+    rng = np.random.default_rng(seed)
+    boxes = random_boxes(rng, n, size=64, min_side=2)
+    boxes[::7] = np.round(boxes[::7])  # exact IoU ties
+    dets = [Detection(tuple(b), int(rng.integers(1, num_classes + 1)),
+                      float(rng.integers(1, score_levels)) / score_levels)
+            for b in boxes.tolist()]
+    want = [dets[i] for i in brute_nms(dets, thr)]
+    for k in (1, 5, 100, n + 1, None):
+        assert nms(dets, thr, k) == want[:k], k

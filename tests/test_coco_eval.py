@@ -236,6 +236,35 @@ class TestEvaluate:
         dets = [(far, 1, 0.9)] * 100 + [(box, 1, 0.9)]
         assert evaluate(EvalInput(gt={0: [(box, 1)]}, detections={0: dets})).ap == 0.0
 
+    @pytest.mark.parametrize("thr", [0.0, -0.5, 1.01])
+    def test_bad_threshold_rejected(self, thr):
+        box = (10.0, 10.0, 30.0, 30.0)
+        inp = EvalInput(gt={0: [(box, 1)]}, detections={0: [(box, 1, 0.9)]})
+        with pytest.raises(ValueError, match="IoU threshold"):
+            evaluate(inp, thresholds=(0.5, thr))
+
+    def test_equals_per_threshold_matching_bit_for_bit(self):
+        # evaluate thresholds one IoU matrix per (image, class); pooling
+        # match_detections' flags threshold by threshold gives the same bits
+        inp = random_eval_input(np.random.default_rng(39), num_images=30, num_classes=3)
+        classes = sorted({c for gts in inp.gt.values() for _, c in gts}
+                         | {c for dets in inp.detections.values() for _, c, _ in dets})
+        want = []
+        for thr in IOU_THRESHOLDS:
+            aps = []
+            for c in classes:
+                scores, flags = [], []
+                for iid in sorted(inp.gt):
+                    dets = [d for d in inp.detections.get(iid, []) if d[1] == c]
+                    scores += [d[2] for d in dets]
+                    flags.append(match_detections(dets, [g for g in inp.gt[iid] if g[1] == c], thr))
+                pooled = np.concatenate(flags)[np.argsort(np.negative(scores), kind="stable")]
+                aps.append(average_precision(pooled, sum(g[1] == c for gts in inp.gt.values()
+                                                         for g in gts)))
+            valid = [a for a in aps if a >= 0.0]
+            want.append(float(np.mean(valid)) if valid else -1.0)
+        assert evaluate(inp).per_threshold == want
+
     def test_detections_on_unlisted_image_rejected(self):
         box = (10.0, 10.0, 30.0, 30.0)
         gt = {1: [(box, 1)]}

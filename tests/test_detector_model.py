@@ -1,10 +1,12 @@
 """Detector model wiring, the training loss against a straight-line
 re-derivation, and the inference path."""
 
+import json
+
 import numpy as np
 import pytest
 
-from lirrdet.autodiff import SGD, Tensor, backward, precision
+from lirrdet.autodiff import SGD, Tensor, backward, default_dtype, no_grad, precision
 from lirrdet.detector import (
     IGNORE,
     NEGATIVE,
@@ -14,12 +16,14 @@ from lirrdet.detector import (
     ModelSpec,
     detection_loss,
     forward_detect,
-    load_detections,
     match_anchors,
     save_detections,
 )
 from lirrdet.detector.model import _flatten_head
-from lirrdet.detector.boxes import Detection, iou
+from lirrdet.detector.boxes import Detection, decode_boxes, iou
+from lirrdet.detector.inference import MAX_DETS, NMS_THR
+
+from test_boxes import brute_nms
 
 
 SMALL_SPEC = ModelSpec(
@@ -193,6 +197,22 @@ class TestDetectionLoss:
         assert np.array_equal(to.grad, np.zeros_like(offsets))
 
 
+def reference_detect(model, image, score_thr=0.05):
+    """forward_detect's candidates, through an uncapped brute-force NMS."""
+    with no_grad():
+        x = Tensor(np.asarray(image, dtype=default_dtype())[None])
+        cls, loc = model.predict(model.features(x), "invariant")
+    z = cls.data[0].astype(np.float64)
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    boxes = decode_boxes(loc.data[0], model.anchors.boxes, image_size=model.spec.image_size)
+    dets = [Detection(tuple(boxes[a].tolist()), c, float(probs[a, c]))
+            for c in range(1, probs.shape[1]) for a in range(len(boxes))
+            if probs[a, c] >= score_thr]
+    return [dets[i] for i in brute_nms(dets, NMS_THR)]
+
+
 class TestForwardDetect:
     def test_untrained_model_invariants(self):
         m = small_model(3)
@@ -220,6 +240,20 @@ class TestForwardDetect:
         with pytest.raises(ValueError):
             forward_detect(small_model(), np.zeros((1, 64, 64), dtype=np.float32))
 
+    def test_untrained_64px_matches_uncapped_reference(self):
+        # the capped NMS inside forward_detect returns the first MAX_DETS keeps
+        # of an uncapped brute-force walk over the same candidates
+        spec = ModelSpec(image_size=64)
+        rng = np.random.default_rng(9)
+        longest = 0
+        for k in range(3):
+            m = Detector(spec, rng=np.random.default_rng(k))
+            img = rng.normal(size=(1, 64, 64)).astype(np.float32)
+            kept = reference_detect(m, img)
+            longest = max(longest, len(kept))
+            assert forward_detect(m, img) == kept[:MAX_DETS]
+        assert longest > MAX_DETS, "the cap never bound"
+
     def test_high_threshold_gives_empty(self):
         m = small_model(5)
         img = np.zeros((1, 32, 32), dtype=np.float32)
@@ -246,6 +280,17 @@ class TestForwardDetect:
         dets = forward_detect(m, img)
         assert dets, "saturated model produced no detections"
         assert iou(dets[0].bbox, gt[0]) > 0.9
+
+
+def load_detections(path) -> list:
+    """Read a detection dump back as a list of dicts."""
+    out = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line:
+                out.append(json.loads(line))
+    return out
 
 
 class TestDetectionDump:
