@@ -1,0 +1,91 @@
+"""The one file layout behind dataset splits and checkpoints.
+
+One UTF-8 JSON header line, then named binary blocks back to back. The header
+holds the caller's keys plus ``version`` and a ``blocks`` table of
+``[name, nbytes, crc32]`` entries in file order.
+"""
+
+from __future__ import annotations
+
+import json
+import operator
+import os
+import zlib
+from contextlib import contextmanager
+from pathlib import Path
+
+VERSION = 2
+
+
+def json_int(v) -> int:
+    """`v` as an int; JSON booleans and non-integers raise TypeError."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return operator.index(v)
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file that replaces `path` on a clean exit and is deleted otherwise."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write(path, header: dict, blocks: dict) -> None:
+    """Write `header` and the named C-contiguous bytes-like `blocks` to `path`, atomically."""
+    table = [[name, memoryview(b).nbytes, zlib.crc32(b)] for name, b in blocks.items()]
+    with atomic_open(path, "wb") as f:
+        f.write(json.dumps({"version": VERSION, **header, "blocks": table}).encode() + b"\n")
+        f.writelines(blocks.values())
+
+
+def read(path, error_cls) -> tuple[dict, dict[str, memoryview]]:
+    """Check the container at `path` and split it into its header and blocks.
+
+    Returns the caller's header keys and a read-only memoryview of each block,
+    in file order, all views of the one buffer the file was read into. Any
+    fault raises `error_cls` with a message naming `path` and the key or block.
+    """
+    raw = Path(path).read_bytes()
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise error_cls(f"{path}: missing header line")
+    try:
+        header = json.loads(raw[:nl])
+    except (ValueError, RecursionError) as e:  # JSON and UTF-8 decode errors are ValueErrors
+        raise error_cls(f"{path}: invalid header: {e}") from e
+    if not isinstance(header, dict):
+        raise error_cls(f"{path}: header is not a JSON object")
+    version = header.pop("version", None)
+    if version != VERSION:
+        raise error_cls(f"{path}: unsupported version {version!r}, expected {VERSION}")
+    table = header.pop("blocks", None)
+    if not isinstance(table, list):
+        raise error_cls(f"{path}: header 'blocks' {table!r} is missing or not a list")
+
+    blocks: dict[str, memoryview] = {}
+    offset = nl + 1
+    for entry in table:
+        try:
+            name, nbytes, crc = entry
+            nbytes, crc = json_int(nbytes), json_int(crc)
+            if not isinstance(name, str) or nbytes < 0:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise error_cls(f"{path}: header 'blocks' entry {entry!r} is not [name, nbytes, crc32]") from None
+        if name in blocks:
+            raise error_cls(f"{path}: header 'blocks' names {name!r} twice")
+        blocks[name] = memoryview(raw)[offset:offset + nbytes]
+        if blocks[name].nbytes < nbytes:
+            raise error_cls(f"{path}: block {name!r} is truncated: {blocks[name].nbytes} of {nbytes} bytes")
+        if zlib.crc32(blocks[name]) != crc:
+            raise error_cls(f"{path}: block {name!r} checksum mismatch")
+        offset += nbytes
+    if offset != len(raw):
+        raise error_cls(f"{path}: {len(raw) - offset} trailing bytes after the last block")
+    return header, blocks

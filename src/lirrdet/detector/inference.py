@@ -7,6 +7,7 @@ import json
 import numpy as np
 
 from ..autodiff import Tensor, default_dtype, no_grad
+from ..container import atomic_open
 from .boxes import Detection, decode_boxes, nms
 
 NMS_THR = 0.5
@@ -50,7 +51,7 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
 
 def save_detections(path, records) -> None:
     """Write (image_id, Detection) pairs as JSON lines."""
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         for image_id, det in records:
             f.write(json.dumps({
                 "image_id": int(image_id),

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .autodiff import SGD, CheckpointError, save_checkpoint, load_checkpoint
 from .coco_eval import EvalInput, evaluate
+from .container import atomic_open
 from .detector.inference import forward_detect, save_detections
 from .detector.model import Detector, ModelSpec
 from .jsonconfig import from_json_dict
@@ -154,7 +155,9 @@ class RunReport:
         return cls(**d)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        with atomic_open(path) as f:
+            json.dump(self.to_dict(), f, indent=2)
+            f.write("\n")
 
     @classmethod
     def load(cls, path) -> "RunReport":

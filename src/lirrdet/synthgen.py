@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-import zlib
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
+from .container import json_int, read, write
 from .jsonconfig import from_json_dict
 from .lirr import DomainLabel
-
-FORMAT_VERSION = 1
 
 # supersampling factor for silhouette coverage; 4x4 subsamples per pixel
 _SS = 4
@@ -373,119 +370,68 @@ def save_dataset(samples, path, config: dict | None = None) -> None:
     samples = list(samples)
     if not samples:
         raise ValueError("cannot save an empty dataset")
-    shape = samples[0].image.shape
-    for s in samples:
-        if s.image.shape != shape:
-            raise ValueError(f"inconsistent image shapes: {shape} vs {s.image.shape}")
+    shapes = {s.image.shape for s in samples}
+    if len(shapes) > 1:
+        raise ValueError(f"inconsistent image shapes: {sorted(shapes)}")
 
-    image_block = b"".join(np.ascontiguousarray(s.image, dtype="<f4").tobytes() for s in samples)
-    ann_lines = []
-    for s in samples:
-        ann_lines.append(json.dumps({
-            "image_id": int(s.image_id),
-            "domain": int(s.domain),
-            "boxes": np.asarray(s.gt_boxes, dtype=np.float64).tolist(),
-            "classes": np.asarray(s.gt_classes, dtype=np.int64).tolist(),
-        }))
-    ann_block = ("\n".join(ann_lines) + "\n").encode()
-
-    header = {
-        "format_version": FORMAT_VERSION,
-        "count": len(samples),
-        "image_shape": list(shape),
-        "dtype": "<f4",
-        "image_nbytes": len(image_block),
-        "image_crc32": zlib.crc32(image_block),
-        "annotation_crc32": zlib.crc32(ann_block),
-        "config": config or {},
-    }
-    with open(path, "wb") as f:
-        f.write((json.dumps(header) + "\n").encode())
-        f.write(image_block)
-        f.write(ann_block)
+    annotations = "".join(json.dumps({
+        "image_id": int(s.image_id),
+        "domain": int(s.domain),
+        "boxes": np.asarray(s.gt_boxes, dtype=np.float64).tolist(),
+        "classes": np.asarray(s.gt_classes, dtype=np.int64).tolist(),
+    }) + "\n" for s in samples)
+    header = {"count": len(samples), "image_shape": list(samples[0].image.shape), "config": config or {}}
+    write(path, header, {"images": np.stack([s.image for s in samples], dtype="<f4"),
+                         "annotations": annotations.encode()})
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DatasetError("missing header line")
-    try:
-        header = json.loads(raw[:nl])
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DatasetError(f"invalid header: {e}") from e
-    if not isinstance(header, dict):
-        raise DatasetError(f"header is not a JSON object: {header!r}")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise DatasetError(f"unsupported format version {header.get('format_version')!r}, "
-                           f"expected {FORMAT_VERSION}")
-
-    for key in ("count", "image_nbytes", "image_crc32", "annotation_crc32"):
-        if not isinstance(header.get(key), int):
-            raise DatasetError(f"header {key!r} is missing or not an integer")
-    shape = header.get("image_shape")
-    if not isinstance(shape, list) or not all(isinstance(d, int) and d > 0 for d in shape):
-        raise DatasetError(f"header 'image_shape' {shape!r} is missing or not positive integers")
-    config = header.get("config", {})
+    header, blocks = read(path, DatasetError)
+    count, shape, config = header.get("count"), header.get("image_shape"), header.get("config", {})
     if not isinstance(config, dict):
-        raise DatasetError(f"header 'config' {config!r} is not a JSON object")
-
-    body = raw[nl + 1:]
-    nbytes = header["image_nbytes"]
-    if len(body) < nbytes:
-        raise DatasetError(f"truncated image section: need {nbytes} bytes, have {len(body)}")
-    image_block, ann_block = body[:nbytes], body[nbytes:]
-    if zlib.crc32(image_block) != header["image_crc32"]:
-        raise DatasetError("image checksum mismatch")
-    if zlib.crc32(ann_block) != header["annotation_crc32"]:
-        raise DatasetError("annotation checksum mismatch")
-
-    count = header["count"]
-    if count * math.prod(shape) * 4 != nbytes:
-        raise DatasetError(f"header 'count' {count} and 'image_shape' {shape} do not "
-                           f"match 'image_nbytes' {nbytes}")
-    images = np.frombuffer(image_block, dtype="<f4").reshape((count, *shape)).copy()
-
+        raise DatasetError(f"{path}: header 'config' {config!r} is not a JSON object")
+    if set(blocks) != {"images", "annotations"}:
+        raise DatasetError(f"{path}: blocks {list(blocks)} are not 'images' and 'annotations'")
     try:
-        lines = ann_block.decode().splitlines()
+        if json_int(count) < 0 or not isinstance(shape, list) or min(map(json_int, shape), default=1) < 1:
+            raise ValueError("negative count or image size")
+        images = np.frombuffer(blocks["images"], dtype="<f4").reshape((count, *shape))
+    except (TypeError, ValueError) as e:
+        raise DatasetError(f"{path}: header 'count' {count!r} and 'image_shape' {shape!r} do not "
+                           f"describe the {blocks['images'].nbytes}-byte 'images' block ({e})") from e
+    try:
+        lines = str(blocks["annotations"], "utf-8").splitlines()
     except UnicodeDecodeError as e:
-        raise DatasetError(f"annotation block is not UTF-8: {e}") from e
+        raise DatasetError(f"{path}: annotation block is not UTF-8: {e}") from e
     if len(lines) != count:
-        raise DatasetError(f"annotation count {len(lines)} does not match header count {count}")
-    return Dataset(samples=[_sample(i, line, images[i]) for i, line in enumerate(lines)],
+        raise DatasetError(f"{path}: annotation count {len(lines)} does not match header count {count}")
+    return Dataset(samples=[_sample(path, i, line, images[i]) for i, line in enumerate(lines)],
                    config=config)
-
-
-def _json_int(v) -> int:
-    if isinstance(v, bool):  # JSON true/false are not integers here
-        raise TypeError(f"expected an integer, got {v!r}")
-    return operator.index(v)
 
 
 # annotation key -> (Sample field, conversion)
 _RECORD_FIELDS = {
     "boxes": ("gt_boxes", lambda v: np.array(v, dtype=np.float64).reshape(-1, 4)),
     "classes": ("gt_classes", lambda v: np.array(v, dtype=np.int64)),
-    "domain": ("domain", lambda v: DomainLabel(_json_int(v))),
-    "image_id": ("image_id", _json_int),
+    "domain": ("domain", lambda v: DomainLabel(json_int(v))),
+    "image_id": ("image_id", json_int),
 }
 
 
-def _sample(i: int, line: str, image: np.ndarray) -> Sample:
+def _sample(path, i: int, line: str, image: np.ndarray) -> Sample:
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"annotation record {i} is not valid JSON: {e}") from e
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise DatasetError(f"{path}: annotation record {i} is not valid JSON: {e}") from e
     if not isinstance(rec, dict):
-        raise DatasetError(f"annotation record {i} is not a JSON object")
+        raise DatasetError(f"{path}: annotation record {i} is not a JSON object")
     fields = {}
     for key, (name, convert) in _RECORD_FIELDS.items():
         try:
             fields[name] = convert(rec[key])
         except (KeyError, TypeError, ValueError) as e:
-            raise DatasetError(f"annotation record {i}: key {key!r} is missing or invalid ({e})") from e
+            raise DatasetError(f"{path}: annotation record {i}: key {key!r} is missing or invalid ({e})") from e
     if len(fields["gt_classes"]) != len(fields["gt_boxes"]):
-        raise DatasetError(f"annotation record {i}: {len(fields['gt_classes'])} 'classes' "
+        raise DatasetError(f"{path}: annotation record {i}: {len(fields['gt_classes'])} 'classes' "
                            f"for {len(fields['gt_boxes'])} 'boxes'")
     return Sample(image=image, **fields)

@@ -1,0 +1,187 @@
+"""The file container under dataset splits and checkpoints: fuzzing through the
+public loaders, bit-exact round trips, and atomic replacement of output files."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from lirrdet.autodiff import CheckpointError, load_checkpoint, save_checkpoint
+from lirrdet.container import atomic_open
+from lirrdet.detector import Detection, save_detections
+from lirrdet.lirr import DomainLabel
+from lirrdet.pipeline import RunReport
+from lirrdet.synthgen import DatasetError, Sample, load_dataset, save_dataset
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6)
+
+
+def _near(value):
+    """Values of the same JSON type as `value`, which get past type checks."""
+    if isinstance(value, str):
+        return st.text(max_size=12)
+    if isinstance(value, int):
+        return st.integers(min(-1, value - 4), value + 4) | st.sampled_from([0, 2**31, 2**64])
+    return st.nothing()
+
+
+def _dataset_file(path):
+    rng = np.random.default_rng(3)
+    samples = [Sample(image=rng.random((1, 16, 16), dtype=np.float32),
+                      gt_boxes=np.array([[1.0, 2.0, 9.5, 12.0]] * (i % 3)),
+                      gt_classes=np.ones(i % 3, dtype=np.int64),
+                      domain=DomainLabel(i % 2), image_id=100 + i) for i in range(3)]
+    save_dataset(samples, path, config={"note": "fuzz"})
+
+
+def _checkpoint_file(path):
+    rng = np.random.default_rng(4)
+    save_checkpoint(path, {"conv.weight": rng.normal(size=(4, 1, 3, 3)).astype(np.float32),
+                           "conv.bias": rng.normal(size=4).astype(np.float32),
+                           "scale": np.float32(rng.normal()).reshape(())})
+
+
+FORMATS = {"dataset": (_dataset_file, load_dataset, DatasetError),
+           "checkpoint": (_checkpoint_file, load_checkpoint, CheckpointError)}
+
+
+@pytest.fixture(scope="module", params=sorted(FORMATS))
+def fmt(request, tmp_path_factory):
+    """(valid file bytes, scratch path, loader, error type) of one format."""
+    make, load, error = FORMATS[request.param]
+    path = tmp_path_factory.mktemp(request.param) / "file.bin"
+    make(path)
+    return path.read_bytes(), path, load, error
+
+
+def _header_paths(node, prefix=()):
+    """Every key/index path into a parsed JSON header."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _header_paths(child, prefix + (key,))
+
+
+@FUZZ
+@given(data=st.data())
+def test_any_truncation_is_rejected(fmt, data):
+    blob, path, load, error = fmt
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(error):
+        load(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_any_bit_flip_in_a_block_is_rejected(fmt, data):
+    blob, path, load, error = fmt
+    body_start = blob.index(b"\n") + 1
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(body_start, len(blob) - 1), label="offset")] ^= \
+        1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(error, match="checksum"):
+        load(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_header_mutation_loads_or_raises_the_format_error(fmt, data):
+    blob, path, load, error = fmt
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    *parent_keys, key = data.draw(st.sampled_from(list(_header_paths(header))), label="path")
+    parent = header
+    for k in parent_keys:
+        parent = parent[k]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_near(parent[key]) | JSON_VALUES, label="value")
+    path.write_bytes(json.dumps(header).encode() + blob[nl:])
+    try:
+        load(path)
+    except error:
+        pass
+
+
+@FUZZ
+@given(images=hnp.arrays(np.float32, st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 5),
+                                                st.integers(1, 5))),
+       boxes=st.lists(st.lists(st.floats(allow_nan=False), min_size=4, max_size=4), max_size=3),
+       image_id=st.integers(-2**63, 2**63 - 1))
+def test_dataset_round_trips_bit_for_bit(tmp_path_factory, images, boxes, image_id):
+    path = tmp_path_factory.mktemp("rt") / "data.bin"
+    samples = [Sample(image=im, gt_boxes=np.array(boxes).reshape(-1, 4),
+                      gt_classes=np.arange(len(boxes), dtype=np.int64),
+                      domain=DomainLabel(i % 2), image_id=image_id - i) for i, im in enumerate(images)]
+    save_dataset(samples, path, config={"note": "x"})
+    ds = load_dataset(path)
+    assert ds.config == {"note": "x"}
+    for orig, back in zip(samples, ds.samples, strict=True):
+        assert back.image.tobytes() == orig.image.tobytes() and back.image.shape == orig.image.shape
+        assert back.gt_boxes.tobytes() == orig.gt_boxes.tobytes()
+        assert back.gt_classes.tolist() == orig.gt_classes.tolist()
+        assert (back.domain, back.image_id) == (orig.domain, orig.image_id)
+    again = path.with_name("again.bin")
+    save_dataset(ds.samples, again, config=ds.config)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@FUZZ
+@given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data(),
+       names=st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
+def test_checkpoint_round_trips_bit_for_bit(tmp_path_factory, dtype, data, names):
+    path = tmp_path_factory.mktemp("rt") / "ckpt.bin"
+    state = {n: data.draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                                 max_side=4)), label=repr(n))
+             for n in names}
+    save_checkpoint(path, state)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == names
+    for n in names:
+        assert loaded[n].dtype == state[n].dtype and loaded[n].shape == state[n].shape
+        assert loaded[n].tobytes() == state[n].tobytes()
+    again = path.with_name("again.bin")
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+class _Boom(Exception):
+    pass
+
+
+def _raw_write(path):
+    with atomic_open(path, "wb") as f:
+        f.write(b"partial")
+        raise _Boom
+
+
+def _detections_write(path):
+    def records():
+        yield 0, Detection((1.0, 2.0, 3.0, 4.0), 1, 0.5)
+        raise _Boom
+    save_detections(path, records())
+
+
+def _report_write(path):
+    # json.dump streams, so the report is half written when it meets the object
+    RunReport(config={"seed": 1, "zzz": object()}).save(path)
+
+
+@pytest.mark.parametrize("write", [_raw_write, _detections_write, _report_write],
+                         ids=["atomic_open", "detections.jsonl", "run_report.json"])
+def test_failed_write_keeps_the_old_file(tmp_path, write):
+    path = tmp_path / "out.file"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises((_Boom, TypeError)):
+        write(path)
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.file"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _containerfile import edit_container
 from lirrdet.autodiff import (
     SGD,
     CheckpointError,
@@ -144,25 +145,29 @@ class TestCheckpoint:
         (lambda h: h.pop("dtype"), "dtype"),
         (lambda h: h.pop("params"), "params"),
         (lambda h: h.update(dtype="int8"), "dtype"),
-        (lambda h: h["params"][0].pop("shape"), "shape"),
-        (lambda h: h["params"][0].update(shape="4"), "shape"),
-        (lambda h: h["params"][0].update(shape=[-4]), "shape"),
+        (lambda h: h["params"].pop(), "shape"),
+        (lambda h: h.update(params=["4"]), "shape"),
+        (lambda h: h.update(params=[[-4]]), "shape"),
         (lambda h: h.update(params=5), "params"),
     ])
     def test_bad_header_rejected(self, tmp_path, edit, match):
-        import json
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, {"w": np.ones(4, dtype=np.float32)})
-        raw = path.read_bytes()
-        nl = raw.find(b"\n")
-        header = json.loads(raw[:nl])
-        edit(header)
-        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        edit_container(path, header=edit)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
+    def test_boolean_shape_entry_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, {"w": np.ones((1, 3), dtype=np.float32)})
+        edit_container(path, header=lambda h: h.update(params=[[True, 3]]))
+        with pytest.raises(CheckpointError, match="header 'params'.*expected an integer, got True"):
+            load_checkpoint(path)
+
+    # the second id is kept from when its match read "bad header"
     @pytest.mark.parametrize("header,match", [(b"[1, 2]", "not a JSON object"),
-                                              (b"not json", "bad header")])
+                                              pytest.param(b"not json", "invalid header",
+                                                           id="not json-bad header")])
     def test_garbage_header_rejected(self, tmp_path, header, match):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(header + b"\n\x00\x00\x80\x3f")
@@ -172,8 +177,7 @@ class TestCheckpoint:
     def test_duplicate_param_name_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, {"a": np.zeros(2), "b": np.ones(2)})
-        blob = path.read_bytes()
-        path.write_bytes(blob.replace(b'"name": "b"', b'"name": "a"', 1))
+        edit_container(path, header=lambda h: h["blocks"][1].__setitem__(0, "a"))
         with pytest.raises(CheckpointError, match="'a' twice"):
             load_checkpoint(path)
 

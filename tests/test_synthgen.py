@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _containerfile import edit_container
 from lirrdet.detector import iou
 from lirrdet.lirr import DomainLabel
 from lirrdet.synthgen import (
@@ -250,7 +251,7 @@ class TestSaveLoad:
         blob[header_end + 100] ^= 0xFF
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(blob))
-        with pytest.raises(DatasetError, match="image checksum"):
+        with pytest.raises(DatasetError, match="'images' checksum"):
             load_dataset(bad)
 
     def test_corrupted_annotations(self, tmp_path):
@@ -261,53 +262,60 @@ class TestSaveLoad:
         blob[-2] ^= 0x01
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(blob))
-        with pytest.raises(DatasetError, match="annotation checksum"):
+        with pytest.raises(DatasetError, match="'annotations' checksum"):
             load_dataset(bad)
 
     def test_version_mismatch(self, tmp_path):
-        import json
         samples, _ = self.make_small_dataset()
         path = tmp_path / "data.bin"
         save_dataset(samples, path)
-        blob = path.read_bytes()
-        header_end = blob.find(b"\n")
-        header = json.loads(blob[:header_end])
-        header["format_version"] = 99
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(json.dumps(header).encode() + blob[header_end:])
+        edit_container(path, header=lambda h: h.update(version=99))
         with pytest.raises(DatasetError, match="version"):
-            load_dataset(bad)
+            load_dataset(path)
 
+    # the image block's size and CRC live in the block table; these three keep
+    # the ids of the header keys that used to hold them
     @pytest.mark.parametrize("key,value,match", [
-        ("image_nbytes", None, "image_nbytes"),
+        pytest.param("blocks", lambda t: [[t[0][0], t[0][2]], t[1]], r"'blocks' entry \['images'",
+                     id="image_nbytes-None-image_nbytes"),
         ("count", None, "count"),
         ("image_shape", None, "image_shape"),
-        ("image_crc32", None, "image_crc32"),
+        pytest.param("blocks", lambda t: [t[0][:2], t[1]], r"'blocks' entry \['images'",
+                     id="image_crc32-None-image_crc32"),
         ("count", 7, "count"),
         ("count", 20, "count"),
         ("image_shape", [1, 16, 16], "image_shape"),
         ("image_shape", [2, 64, 64], "image_shape"),
         ("image_shape", [-1, 32, -32], "image_shape"),
         ("image_shape", "abc", "image_shape"),
-        ("image_nbytes", "x", "image_nbytes"),
+        pytest.param("blocks", lambda t: [[t[0][0], "x", t[0][2]], t[1]], r"'blocks' entry \['images'",
+                     id="image_nbytes-x-image_nbytes"),
         ("config", [1, 2], "config"),
     ])
     def test_bad_header_field(self, tmp_path, key, value, match):
-        import json
         samples, _ = self.make_small_dataset()
         path = tmp_path / "data.bin"
         save_dataset(samples, path)
-        blob = path.read_bytes()
-        header_end = blob.find(b"\n")
-        header = json.loads(blob[:header_end])
-        if value is None:
-            del header[key]
-        else:
-            header[key] = value
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(json.dumps(header).encode() + blob[header_end:])
+
+        def edit(header):
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value(header[key]) if callable(value) else value
+        edit_container(path, header=edit)
         with pytest.raises(DatasetError, match=match):
-            load_dataset(bad)
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key,value", [("count", True), ("image_shape", [True, 64, 64])])
+    def test_boolean_header_integer_rejected(self, tmp_path, key, value):
+        # one 64-px sample, so only the boolean itself is wrong
+        samples, _ = self.make_small_dataset()
+        path = tmp_path / "data.bin"
+        save_dataset(samples[:1], path)
+        edit_container(path, header=lambda h: h.update({key: value}))
+        with pytest.raises(DatasetError, match="expected an integer, got True") as err:
+            load_dataset(path)
+        assert f"'{key}' {value!r}" in str(err.value)
 
     @pytest.mark.parametrize("edit,match", [
         (lambda rec: [1, 2], "record 1 is not a JSON object"),
@@ -320,27 +328,23 @@ class TestSaveLoad:
         (lambda rec: {**rec, "domain": True}, "record 1: key 'domain'"),
         (lambda rec: {**rec, "classes": []}, "record 1: 0 'classes' for"),
         (lambda rec: b"\xff", "annotation block is not UTF-8"),
+        (lambda rec: b"[" * 100_000, "record 1 is not valid JSON"),
     ], ids=["array", "bad-json", "no-boxes", "no-image_id", "domain-7", "boxes-3", "image_id-str",
-            "domain-true", "classes-count", "not-utf8"])
+            "domain-true", "classes-count", "not-utf8", "too-deep"])
     def test_bad_annotation_record(self, tmp_path, edit, match):
         import json
-        import zlib
         samples, _ = self.make_small_dataset()
         path = tmp_path / "data.bin"
         save_dataset(samples, path)
-        blob = path.read_bytes()
-        header_end = blob.find(b"\n")
-        header = json.loads(blob[:header_end])
-        ann_start = header_end + 1 + header["image_nbytes"]
-        lines = blob[ann_start:].splitlines()
-        edited = edit(json.loads(lines[1]))
-        lines[1] = edited if isinstance(edited, bytes) else json.dumps(edited).encode()
-        ann_block = b"\n".join(lines) + b"\n"
-        header["annotation_crc32"] = zlib.crc32(ann_block)
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(json.dumps(header).encode() + blob[header_end:ann_start] + ann_block)
+
+        def edit_record_1(blocks):
+            lines = blocks["annotations"].splitlines()
+            edited = edit(json.loads(lines[1]))
+            lines[1] = edited if isinstance(edited, bytes) else json.dumps(edited).encode()
+            blocks["annotations"] = b"\n".join(lines) + b"\n"
+        edit_container(path, blocks=edit_record_1)
         with pytest.raises(DatasetError, match=match):
-            load_dataset(bad)
+            load_dataset(path)
 
     def test_garbage_header(self, tmp_path):
         bad = tmp_path / "bad.bin"
