@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .autodiff import CheckpointError
+from .container import atomic_open
 from .pipeline import ExperimentConfig, Mode, RunReport, evaluate_checkpoint, run_experiment
 from .synthgen import (BenchmarkConfig, DatasetError, benchmark_config_from_dict,
                        make_benchmark, save_dataset)
@@ -38,7 +39,8 @@ def _cmd_gen(args) -> int:
                                             splits.target_train_full, splits.target_test)):
         save_dataset(samples, out / name, config=cfg.to_dict())
         print(f"wrote {out / name} ({len(samples)} images)")
-    (out / "benchmark_config.json").write_text(json.dumps(cfg.to_dict(), indent=2) + "\n")
+    with atomic_open(out / "benchmark_config.json") as f:
+        f.write(json.dumps(cfg.to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -75,7 +77,8 @@ def _cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "eval_report.json").write_text(json.dumps(ap.to_dict(), indent=2) + "\n")
+        with atomic_open(out / "eval_report.json") as f:
+            f.write(json.dumps(ap.to_dict(), indent=2) + "\n")
         from .detector.inference import save_detections
         save_detections(out / "detections.jsonl", records)
     return 0
@@ -116,8 +119,9 @@ def _cmd_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "table.txt").write_text(text)
-        with open(out / "table.csv", "w", newline="") as f:
+        with atomic_open(out / "table.txt") as f:
+            f.write(text)
+        with atomic_open(out / "table.csv", newline="") as f:
             w = csv.writer(f)
             w.writerow(("Method", "Ims", "AP", "AP50", "AP75"))
             w.writerows(rows)

@@ -1,8 +1,11 @@
 """The one file layout behind dataset splits and checkpoints.
 
 One UTF-8 JSON header line, then named binary blocks back to back. The header
-holds the caller's keys plus ``version`` and a ``blocks`` table of
-``[name, nbytes, crc32]`` entries in file order.
+holds ``version``, the caller's keys, a ``blocks`` table of
+``[name, nbytes, crc32]`` entries in file order, and last ``header_crc32``,
+the CRC-32 of the header's JSON without that key. A header line is accepted
+only if it is byte for byte the one `write` makes from its parsed content,
+so any change to its bytes is caught.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
-VERSION = 2
+VERSION = 3
 
 
 def json_int(v) -> int:
@@ -25,22 +28,27 @@ def json_int(v) -> int:
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
+def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Open a temp file that replaces `path` on a clean exit and is deleted otherwise."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, mode, newline=newline) as f:
             yield f
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def _header_line(header: dict) -> bytes:
+    """`header` as JSON with its CRC appended as the last key."""
+    return json.dumps({**header, "header_crc32": zlib.crc32(json.dumps(header).encode())}).encode()
+
+
 def write(path, header: dict, blocks: dict) -> None:
     """Write `header` and the named C-contiguous bytes-like `blocks` to `path`, atomically."""
     table = [[name, memoryview(b).nbytes, zlib.crc32(b)] for name, b in blocks.items()]
     with atomic_open(path, "wb") as f:
-        f.write(json.dumps({"version": VERSION, **header, "blocks": table}).encode() + b"\n")
+        f.write(_header_line({"version": VERSION, **header, "blocks": table}) + b"\n")
         f.writelines(blocks.values())
 
 
@@ -64,6 +72,9 @@ def read(path, error_cls) -> tuple[dict, dict[str, memoryview]]:
     version = header.pop("version", None)
     if version != VERSION:
         raise error_cls(f"{path}: unsupported version {version!r}, expected {VERSION}")
+    crc = header.pop("header_crc32", None)
+    if _header_line({"version": version, **header}) != raw[:nl]:
+        raise error_cls(f"{path}: header 'header_crc32' {crc!r} does not match the header line")
     table = header.pop("blocks", None)
     if not isinstance(table, list):
         raise error_cls(f"{path}: header 'blocks' {table!r} is missing or not a list")

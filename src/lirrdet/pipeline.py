@@ -135,6 +135,11 @@ class ExperimentConfig:
         return d
 
 
+# what `lirrdet report` reads from a run report, and the JSON types it takes
+_REPORT_FIELDS = {"config.mode": str, "config.label_budget": int,
+                  "final.ap": (int, float), "final.ap50": (int, float), "final.ap75": (int, float)}
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -150,10 +155,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(**d)
-
     def save(self, path) -> None:
         with atomic_open(path) as f:
             json.dump(self.to_dict(), f, indent=2)
@@ -161,7 +162,22 @@ class RunReport:
 
     @classmethod
     def load(cls, path) -> "RunReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a saved report; a file that is not one raises ValueError naming the key."""
+        try:
+            d = json.loads(Path(path).read_text())
+        except ValueError as e:  # JSON and UTF-8 decode errors
+            raise ValueError(f"{path}: run report is not valid JSON: {e}") from e
+        if not isinstance(d, dict):
+            raise ValueError(f"{path}: run report is not a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown run report keys {unknown}")
+        for key, kind in _REPORT_FIELDS.items():
+            part, field_name = key.split(".")
+            value = d[part].get(field_name) if isinstance(d.get(part), dict) else None
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{path}: run report key {key} is missing or invalid ({value!r})")
+        return cls(**d)
 
 
 def _load_split(path: str, what: str):

@@ -10,10 +10,20 @@ training side consumes.
 Every sample is a pure function of (scene spec, domain params, index), so
 datasets are reproducible byte for byte. Ground-truth boxes are the tight
 pixel bounds of the rendered silhouette, computed before noise.
+
+Stars and clutter blobs are drawn only inside their own window, the
+pixels that meet the square around the disc where they can show. A blob
+only raises pixels within its radius r. A star of peak b and width r is
+b * exp(-d^2 / 2r^2), which is below the starfield's initial fill `floor`
+past d = r * sqrt(2 ln(b / floor)); the background is at least `floor`
+everywhere, so there the max keeps it. Outside its window a star or blob
+therefore cannot beat the background, and the image equals a full-frame
+render; pixels inside go through the same float operations.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -120,9 +130,10 @@ def _unit_polygon(n: int, phase: float) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def _polygon_area(verts: np.ndarray) -> float:
+def _cross_sum(verts: np.ndarray) -> float:
+    """Twice the signed area: positive for counter-clockwise vertices."""
     x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _sample_polygon(rng, spec: SceneSpec) -> np.ndarray:
@@ -149,14 +160,21 @@ def _sample_polygon(rng, spec: SceneSpec) -> np.ndarray:
             continue
         center = np.clip([cx, cy], lo, hi)
         verts = verts + center
-        if _polygon_area(verts) >= _MIN_AREA:
+        if 0.5 * abs(_cross_sum(verts)) >= _MIN_AREA:
             return verts
     raise RenderError(f"degenerate polygon after {_MAX_RETRIES} attempts "
                       f"(scale_range {spec.scale_range} too small for area {_MIN_AREA})")
 
 
 def _coverage_map(verts: np.ndarray, size: int) -> np.ndarray:
-    """Supersampled inside-test on the polygon's pixel bounding box."""
+    """Supersampled inside-test on the polygon's pixel bounding box.
+
+    A subsample (x, y) is inside when (bx-ax)(y-ay) >= (by-ay)(x-ax) for
+    every edge a->b of the counter-clockwise polygon; for finite floats this
+    is the sign test of the rounded cross product. The right side is
+    monotone in x, so each edge keeps a prefix (by >= ay) or a suffix
+    (by < ay) of every subsample row, and a row's inside set is one run.
+    """
     c0 = max(int(math.floor(verts[:, 0].min())) - 1, 0)
     r0 = max(int(math.floor(verts[:, 1].min())) - 1, 0)
     c1 = min(int(math.ceil(verts[:, 0].max())) + 1, size - 1)
@@ -166,21 +184,40 @@ def _coverage_map(verts: np.ndarray, size: int) -> np.ndarray:
     offs = (np.arange(_SS) + 0.5) / _SS
     xs = c0 + (np.arange(w)[:, None] + offs[None, :]).reshape(-1)
     ys = r0 + (np.arange(h)[:, None] + offs[None, :]).reshape(-1)
-    px, py = np.meshgrid(xs, ys)
 
-    # ensure counter-clockwise order so inside means every cross product >= 0
-    if np.dot(verts[:, 0], np.roll(verts[:, 1], -1)) - np.dot(verts[:, 1], np.roll(verts[:, 0], -1)) < 0:
+    if _cross_sum(verts) < 0:
         verts = verts[::-1]
-    inside = np.ones(px.shape, dtype=bool)
-    for i in range(len(verts)):
-        ax, ay = verts[i]
-        bx, by = verts[(i + 1) % len(verts)]
-        inside &= (bx - ax) * (py - ay) - (by - ay) * (px - ax) >= 0.0
+    lo, hi = np.zeros(len(ys), dtype=np.intp), np.full(len(ys), len(xs))
+    pts = verts.tolist()
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        left, right = (bx - ax) * (ys - ay), (by - ay) * (xs - ax)
+        if by >= ay:
+            hi = np.minimum(hi, right.searchsorted(left, side="right"))
+        else:
+            lo = np.maximum(lo, len(xs) - right[::-1].searchsorted(left, side="right"))
 
-    sub = inside.reshape(h, _SS, w, _SS).swapaxes(1, 2).astype(np.float64)
+    # subsamples of each row's run [lo, hi) that fall in each pixel column
+    starts = np.arange(0, len(xs), _SS)
+    per_row = np.maximum(np.minimum(hi[:, None], starts + _SS) - np.maximum(lo[:, None], starts), 0)
     cov = np.zeros((size, size))
-    cov[r0:r1 + 1, c0:c1 + 1] = sub.mean(axis=(2, 3))
+    cov[r0:r1 + 1, c0:c1 + 1] = per_row.reshape(h, _SS, w).sum(axis=1) / _SS**2
     return cov
+
+
+@functools.lru_cache
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cols, rows) pixel-centre coordinates of a size x size frame."""
+    cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    cols.flags.writeable = rows.flags.writeable = False
+    return cols, rows
+
+
+def _window(x: float, y: float, radius: float) -> tuple[slice, slice]:
+    """(rows, cols) slices of the pixels that meet the square of half-side
+    `radius` centred on (x, y), for x, y >= 0. Every pixel centre left out
+    is at least radius + 1/2 from (x, y) along one axis."""
+    return (slice(max(math.floor(y - radius), 0), math.floor(y + radius) + 1),
+            slice(max(math.floor(x - radius), 0), math.floor(x + radius) + 1))
 
 
 def _texture_map(rng, verts, params: DomainParams, size: int) -> np.ndarray:
@@ -193,22 +230,25 @@ def _texture_map(rng, verts, params: DomainParams, size: int) -> np.ndarray:
     u = np.array([math.cos(axis_ang), math.sin(axis_ang)])
     proj_v = verts @ u
     lo, hi = proj_v.min(), proj_v.max()
-    cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    cols, rows = _grid(size)
     t = ((cols * u[0] + rows * u[1]) - lo) / max(hi - lo, 1e-9)
     bands = np.clip((t * n_panels).astype(int), 0, n_panels - 1)
     return shades[bands]
 
 
 def _render_background(rng, params: DomainParams, size: int) -> np.ndarray:
-    cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    xs = np.arange(size) + 0.5
     if params.background is Background.STARFIELD:
-        bg = np.full((size, size), rng.uniform(0.02, 0.06))
+        floor = rng.uniform(0.02, 0.06)
+        bg = np.full((size, size), floor)
         for _ in range(rng.poisson(35)):
             sx, sy = rng.uniform(0, size, size=2)
             b = rng.uniform(0.35, 0.65)
             r = rng.uniform(0.6, 1.4)
-            d2 = (cols - sx) ** 2 + (rows - sy) ** 2
-            bg = np.maximum(bg, b * np.exp(-d2 / (2.0 * r * r)))
+            rows, cols = _window(sx, sy, r * math.sqrt(2.0 * math.log(b / floor)))
+            d2 = (xs[cols] - sx) ** 2 + ((xs[rows] - sy) ** 2)[:, None]
+            win = bg[rows, cols]
+            np.maximum(win, b * np.exp(-d2 / (2.0 * r * r)), out=win)
         return bg
     if params.background is Background.CLUTTER:
         bg = np.full((size, size), rng.uniform(0.08, 0.15))
@@ -216,10 +256,12 @@ def _render_background(rng, params: DomainParams, size: int) -> np.ndarray:
             bx, by = rng.uniform(0, size, size=2)
             b = rng.uniform(0.15, 0.50)
             r = rng.uniform(2.0, 6.0)
-            mask = (cols - bx) ** 2 + (rows - by) ** 2 <= r * r
-            bg = np.where(mask, np.maximum(bg, b), bg)
+            rows, cols = _window(bx, by, r)
+            win = bg[rows, cols]
+            np.maximum(win, b, out=win, where=(xs[cols] - bx) ** 2 + ((xs[rows] - by) ** 2)[:, None] <= r * r)
         return bg
     # smooth ramp across the frame in a random direction
+    cols, rows = _grid(size)
     ang = rng.uniform(0.0, 2.0 * math.pi)
     u = np.array([math.cos(ang), math.sin(ang)])
     t = cols * u[0] + rows * u[1]
@@ -229,13 +271,17 @@ def _render_background(rng, params: DomainParams, size: int) -> np.ndarray:
     return lo + (hi - lo) * t
 
 
+@functools.lru_cache
 def _illumination(params: DomainParams, size: int) -> np.ndarray:
-    cols, rows = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    """Read-only illumination field of one domain at one frame size."""
+    cols, rows = _grid(size)
     ux = math.cos(params.gradient_direction)
     uy = math.sin(params.gradient_direction)
     half = size / 2.0
     t = ((cols - half) * ux + (rows - half) * uy) / half
-    return params.illumination_gain * (1.0 + params.gradient_strength * t)
+    illum = params.illumination_gain * (1.0 + params.gradient_strength * t)
+    illum.flags.writeable = False
+    return illum
 
 
 def render_scene_parts(spec: SceneSpec, params: DomainParams, index: int) -> RenderParts:

@@ -13,11 +13,13 @@ def edit_container(path, header=None, blocks=None) -> None:
 
     `blocks(d)` edits the dict of block name -> bytes, after which the block
     table gets fresh sizes and CRCs. `header(h)` then edits the parsed header,
-    block table included. Both edit their argument in place.
+    block table included and header CRC left out. Both edit their argument in
+    place. The header gets a fresh CRC, of its JSON, as its last key.
     """
     raw = path.read_bytes()
     nl = raw.find(b"\n")
     head = json.loads(raw[:nl])
+    del head["header_crc32"]
     body, offset = {}, nl + 1
     for name, nbytes, _ in head["blocks"]:
         body[name] = raw[offset:offset + nbytes]
@@ -27,4 +29,5 @@ def edit_container(path, header=None, blocks=None) -> None:
         head["blocks"] = [[name, len(b), zlib.crc32(b)] for name, b in body.items()]
     if header is not None:
         header(head)
-    path.write_bytes(json.dumps(head).encode() + b"\n" + b"".join(body.values()))
+    line = json.dumps({**head, "header_crc32": zlib.crc32(json.dumps(head).encode())})
+    path.write_bytes(line.encode() + b"\n" + b"".join(body.values()))

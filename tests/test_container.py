@@ -2,12 +2,16 @@
 public loaders, bit-exact round trips, and atomic replacement of output files."""
 
 import json
+from contextlib import contextmanager
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lirrdet import cli
 from lirrdet.autodiff import CheckpointError, load_checkpoint, save_checkpoint
 from lirrdet.container import atomic_open
 from lirrdet.detector import Detection, save_detections
@@ -93,6 +97,29 @@ def test_any_bit_flip_in_a_block_is_rejected(fmt, data):
 
 @FUZZ
 @given(data=st.data())
+def test_any_bit_flip_in_the_header_is_rejected(fmt, data):
+    blob, path, load, error = fmt
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, blob.index(b"\n") - 1), label="offset")] ^= \
+        1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(error):
+        load(path)
+
+
+def test_changed_config_echo_is_rejected(tmp_path):
+    # a one-bit flip turns "size": 64 into "size": 44, which still parses
+    path = tmp_path / "data.bin"
+    save_dataset([Sample(image=np.zeros((1, 2, 2), np.float32), gt_boxes=np.zeros((0, 4)),
+                         gt_classes=np.zeros(0, np.int64), domain=DomainLabel.SOURCE, image_id=0)],
+                 path, config={"scene": {"size": 64}})
+    path.write_bytes(path.read_bytes().replace(b'"size": 64', b'"size": 44', 1))
+    with pytest.raises(DatasetError, match="'header_crc32'"):
+        load_dataset(path)
+
+
+@FUZZ
+@given(data=st.data())
 def test_header_mutation_loads_or_raises_the_format_error(fmt, data):
     blob, path, load, error = fmt
     nl = blob.index(b"\n")
@@ -105,11 +132,13 @@ def test_header_mutation_loads_or_raises_the_format_error(fmt, data):
         del parent[key]
     else:
         parent[key] = data.draw(_near(parent[key]) | JSON_VALUES, label="value")
-    path.write_bytes(json.dumps(header).encode() + blob[nl:])
-    try:
+    line = json.dumps(header).encode()
+    path.write_bytes(line + blob[nl:])
+    if line == blob[:nl]:
         load(path)
-    except error:
-        pass
+    else:
+        with pytest.raises(error):
+            load(path)
 
 
 @FUZZ
@@ -158,30 +187,86 @@ class _Boom(Exception):
     pass
 
 
-def _raw_write(path):
+def _raw_write(path, monkeypatch):
     with atomic_open(path, "wb") as f:
         f.write(b"partial")
         raise _Boom
 
 
-def _detections_write(path):
+def _detections_write(path, monkeypatch):
     def records():
         yield 0, Detection((1.0, 2.0, 3.0, 4.0), 1, 0.5)
         raise _Boom
     save_detections(path, records())
 
 
-def _report_write(path):
+def _report_write(path, monkeypatch):
     # json.dump streams, so the report is half written when it meets the object
     RunReport(config={"seed": 1, "zzz": object()}).save(path)
 
 
-@pytest.mark.parametrize("write", [_raw_write, _detections_write, _report_write],
-                         ids=["atomic_open", "detections.jsonl", "run_report.json"])
-def test_failed_write_keeps_the_old_file(tmp_path, write):
-    path = tmp_path / "out.file"
+class _RaisingFile:
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data)
+        raise _Boom
+
+
+def _cli_raising_on(monkeypatch, name):
+    """Make the CLI's writes of files called `name` raise after their first write."""
+    @contextmanager
+    def opener(path, *args, **kwargs):
+        with atomic_open(path, *args, **kwargs) as f:
+            yield _RaisingFile(f) if Path(path).name == name else f
+    monkeypatch.setattr(cli, "atomic_open", opener)
+
+
+def _gen_write(path, monkeypatch):
+    cfg = path.parent.parent / "bench.json"
+    cfg.write_text(json.dumps({"scene": {"size": 16}, "source_count": 1, "target_train_small": 1,
+                               "target_train_full": 1, "target_test_count": 1}))
+    _cli_raising_on(monkeypatch, path.name)
+    cli.main(["gen", "--out", str(path.parent), "--config", str(cfg)])
+
+
+def _eval_write(path, monkeypatch):
+    cfg = path.parent.parent / "cfg.json"
+    cfg.write_text(json.dumps({"source_path": "s", "target_train_path": "t", "target_test_path": "e"}))
+    monkeypatch.setattr(cli, "evaluate_checkpoint", lambda config, checkpoint_path: (
+        SimpleNamespace(to_dict=lambda: {"ap": 0.5}), []))
+    _cli_raising_on(monkeypatch, path.name)
+    cli.main(["eval", "--config", str(cfg), "--out", str(path.parent)])
+
+
+def _table_write(path, monkeypatch):
+    report = path.parent.parent / "run_report.json"
+    RunReport(config={"mode": "SDA", "label_budget": 5},
+              final={"ap": 0.1, "ap50": 0.2, "ap75": 0.05}).save(report)
+    _cli_raising_on(monkeypatch, path.name)
+    cli.main(["report", str(report), "--out", str(path.parent)])
+
+
+_SPLITS = ["source_train.bin", "target_test.bin", "target_train_full.bin", "target_train_small.bin"]
+
+
+# (write, file it replaces, files the command writes before it)
+@pytest.mark.parametrize("write,name,before", [
+    (_raw_write, "out.file", []),
+    (_detections_write, "out.file", []),
+    (_report_write, "out.file", []),
+    (_gen_write, "benchmark_config.json", _SPLITS),
+    (_eval_write, "eval_report.json", []),
+    (_table_write, "table.txt", []),
+    (_table_write, "table.csv", ["table.txt"]),
+], ids=["atomic_open", "detections.jsonl", "run_report.json", "benchmark_config.json",
+        "eval_report.json", "table.txt", "table.csv"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write, name, before):
+    path = tmp_path / "out" / name
+    path.parent.mkdir()
     path.write_bytes(b"old contents\n")
     with pytest.raises((_Boom, TypeError)):
-        write(path)
+        write(path, monkeypatch)
     assert path.read_bytes() == b"old contents\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.file"]
+    assert sorted(p.name for p in path.parent.iterdir()) == sorted([name, *before])

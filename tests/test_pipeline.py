@@ -460,6 +460,26 @@ class TestCli:
         assert main(["report", "/no/such/report.json"]) == 1
         assert "/no/such/report.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,key", [
+        ([1, 2], "not a JSON object"),
+        ({"zzz": 1}, "unknown run report keys ['zzz']"),
+        ({"config": {"mode": "sda"}, "final": {}}, "config.label_budget"),
+        ({"config": {"mode": "SDA", "label_budget": "5"}, "final": {}}, "config.label_budget"),
+        ({"config": {"mode": ["SDA"], "label_budget": 5}}, "config.mode"),
+        ({"config": {"mode": "SDA", "label_budget": 5}, "final": {"ap": 0.1, "ap50": 0.2}}, "final.ap75"),
+        ({"config": {"mode": "SDA", "label_budget": 5}, "final": []}, "final.ap"),
+        (b"not json", "not valid JSON"),
+        (b"\xff\xfe", "not valid JSON"),
+    ], ids=["array", "unknown-key", "no-label_budget", "label_budget-str", "mode-list",
+            "no-ap75", "final-array", "not-json", "not-utf8"])
+    def test_malformed_report_named(self, tmp_path, capsys, content, key):
+        p = tmp_path / "run_report.json"
+        p.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+        assert main(["report", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and key in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,config,message", [
         ("train", {"steps": "10"}, "config key steps must be an integer"),
         ("train", {"widths": 16}, "config key widths must be an array"),

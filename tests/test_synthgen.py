@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+import _render_ref
 from _containerfile import edit_container
 from lirrdet.detector import iou
 from lirrdet.lirr import DomainLabel
@@ -14,6 +19,7 @@ from lirrdet.synthgen import (
     TargetTexture,
     SOURCE_DOMAIN,
     TARGET_DOMAIN,
+    _coverage_map,
     load_dataset,
     make_benchmark,
     render_scene,
@@ -149,6 +155,66 @@ class TestRenderScene:
         parts = render_scene_parts(SceneSpec(seed=13), params, 8)
         inside = parts.coverage == 1.0
         assert np.unique(parts.sample.image[0][inside]).size >= 2
+
+
+def _render_fields(parts):
+    s = parts.sample
+    return {"background": parts.background, "coverage": parts.coverage, "prenoise": parts.prenoise,
+            "image": s.image, "gt_boxes": s.gt_boxes, "gt_classes": s.gt_classes}
+
+
+def _assert_matches_reference(spec, params, index):
+    got = _render_fields(render_scene_parts(spec, params, index))
+    want = _render_fields(_render_ref.render_scene_parts(spec, params, index))
+    for name, ref in want.items():
+        assert (got[name].dtype, got[name].shape) == (ref.dtype, ref.shape), name
+        assert got[name].tobytes() == ref.tobytes(), (name, spec, params, index)
+
+
+class TestRenderOracle:
+    """render_scene_parts against the full-frame renderer in tests/_render_ref.py."""
+
+    GRID = [DomainParams(illumination_gain=0.8, gradient_direction=2.0, gradient_strength=0.3,
+                         noise_sigma=0.02, background=bg, clutter_density=density, target_texture=tex)
+            for bg, tex, density in itertools.product(Background, TargetTexture, (0.0, 0.3, 1.0))]
+
+    @pytest.mark.parametrize("seed,size", list(itertools.product((1, 2, 3), (16, 64, 96))))
+    def test_grid_matches_reference(self, seed, size):
+        spec = SceneSpec(size=size, seed=seed)
+        for params, index in itertools.product(self.GRID, range(10)):
+            _assert_matches_reference(spec, params, index)
+
+    @pytest.mark.parametrize("params", [SOURCE_DOMAIN, TARGET_DOMAIN], ids=["source", "target"])
+    def test_default_domain_matches_reference(self, params):
+        for index in range(200):
+            _assert_matches_reference(SceneSpec(), params, index)
+
+    def test_coverage_on_the_subsample_lattice(self):
+        # vertices on subsample centres put subsamples exactly on edges, where
+        # the inside test's ties decide
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            cx, cy = rng.integers(12, 52, size=2) + 0.125 + 0.25 * rng.integers(0, 4, size=2)
+            dx, dy = 0.25 * rng.integers(1, 40, size=2)
+            shape = rng.choice(["rect", "diamond", "triangle"])
+            verts = {"rect": [(cx - dx, cy - dy), (cx + dx, cy - dy), (cx + dx, cy + dy), (cx - dx, cy + dy)],
+                     "diamond": [(cx, cy - dy), (cx + dx, cy), (cx, cy + dy), (cx - dx, cy)],
+                     "triangle": [(cx - dx, cy - dy), (cx + dx, cy - dy), (cx - dx, cy + dy)]}[shape]
+            verts = np.clip(np.array(verts), 1.125, 62.875)
+            for v in (verts, verts[::-1]):
+                assert _coverage_map(v, 64).tobytes() == _render_ref.coverage_map(v, 64).tobytes(), v
+
+    def test_make_benchmark_digest_is_pinned(self):
+        # computed before windowed rendering (numpy 2.4, x86-64)
+        splits = make_benchmark(BenchmarkConfig(source_count=6, target_train_small=2,
+                                                target_train_full=3, target_test_count=4))
+        samples = splits.source_train + splits.target_train_full + splits.target_test
+        images = hashlib.sha256(np.stack([s.image for s in samples]).tobytes()).hexdigest()
+        annotations = hashlib.sha256("".join(
+            json.dumps([s.image_id, int(s.domain), s.gt_boxes.tolist(), s.gt_classes.tolist()]) + "\n"
+            for s in samples).encode()).hexdigest()
+        assert images == "11ba98a5044a1a2514ed5a948eebb7bc2a88ada22d94617d631101bce9d42592"
+        assert annotations == "25a3d7eb5a3edb3b4b3cd558331db274f9085acd45429984bcff7650d5d1e352"
 
 
 class TestMakeBenchmark:
