@@ -26,10 +26,18 @@ _SPLIT_FILES = ("source_train.bin", "target_train_small.bin",
                 "target_train_full.bin", "target_test.bin")
 
 
+def _read_config(path) -> object:
+    """A config file's JSON; a file that is not UTF-8 JSON raises ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as e:  # JSON, UTF-8 and nesting errors
+        raise ValueError(f"{path}: config is not valid JSON: {e}") from e
+
+
 def _cmd_gen(args) -> int:
     cfg = BenchmarkConfig()
     if args.config:
-        cfg = benchmark_config_from_dict(json.loads(Path(args.config).read_text()))
+        cfg = benchmark_config_from_dict(_read_config(args.config))
     if args.seed is not None:
         cfg = replace(cfg, scene=replace(cfg.scene, seed=args.seed))
     splits = make_benchmark(cfg)
@@ -48,7 +56,7 @@ def _load_experiment_config(path: str) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config not found: {path}")
-    d = json.loads(p.read_text())
+    d = _read_config(p)
     if isinstance(d, dict) and "config" in d and "eval_series" in d:
         # a run report; use its embedded echo, minus the retired no-op
         # "deterministic" key that older reports carry
@@ -167,7 +175,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, RuntimeError,
-            DatasetError, CheckpointError, json.JSONDecodeError) as e:
+    except (FileNotFoundError, ValueError, RuntimeError, DatasetError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,7 +2,6 @@ from .boxes import Detection, decode_boxes, encode_boxes, iou, iou_matrix, nms
 from .anchors import AnchorGrid, LevelSpec, generate_anchors
 from .matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from .model import Detector, ModelSpec
-from .loss import detection_loss
 from .inference import forward_detect, save_detections
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "ModelSpec",
     "NEGATIVE",
     "decode_boxes",
-    "detection_loss",
     "encode_boxes",
     "forward_detect",
     "generate_anchors",

@@ -3,6 +3,11 @@
 Boxes are corner-format (x1, y1, x2, y2) in continuous pixel coordinates,
 so width is x2 - x1 with no +1 convention. The package computes every IoU
 with ``iou_matrix``; the scalar ``iou`` is the tests' reference for it.
+
+``nms`` walks the candidates in score order in blocks of NMS_BLOCK columns,
+scoring each block only against the keeps so far and itself. This is exact:
+greedy NMS decides a candidate from the keeps before it alone, and every IoU
+is the same ``iou_matrix`` entry, earlier box as the row, as in a full matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 VARIANCES = (0.1, 0.1, 0.2, 0.2)
-NMS_BLOCK = 16  # candidates per block of IoU rows in nms
+NMS_BLOCK = 32  # candidates per block of IoU columns in nms
 
 
 class Detection(NamedTuple):
@@ -98,34 +103,37 @@ def decode_boxes(offsets: np.ndarray, anchors: np.ndarray, image_size=None) -> n
     return boxes
 
 
-def nms(dets: list, iou_thr: float, max_keep: int | None = None) -> list:
-    """Greedy non-maximum suppression, stopping at the max_keep-th kept box.
+def nms(boxes, scores, classes, iou_thr: float, max_keep: int | None = None) -> np.ndarray:
+    """Greedy non-maximum suppression; the kept input indices in keep order.
 
     Score-descending order (ties keep lower input index); a kept box
-    suppresses later boxes of the same class with IoU > iou_thr. Whether
-    the box at position p is kept depends only on the kept boxes before p,
-    so the first max_keep keeps are those of the uncapped walk. IoU rows
-    are computed NMS_BLOCK candidates at a time, each block against itself
-    and the candidates after it, and no block past the last keep is scored.
+    suppresses later boxes of the same class with IoU > iou_thr, and the
+    walk returns at the max_keep-th keep. Each block of NMS_BLOCK candidates
+    is scored against the keeps so far and its own candidates: one earlier
+    keep's hit kills a candidate, and each keep in the block hits the later
+    ones it overlaps. A candidate's fate depends only on the keeps before
+    it, so the keeps are those of the uncapped walk over a full matrix.
     """
     if not 0.0 <= iou_thr <= 1.0:
         raise ValueError(f"nms: iou_thr {iou_thr} outside [0, 1]")
     if max_keep is not None and max_keep < 1:
         raise ValueError(f"nms: max_keep {max_keep} must be at least 1")
-    order = np.argsort([-d.score for d in dets], kind="stable")
-    boxes = np.array([dets[i].bbox for i in order])
-    classes = np.array([dets[i].class_id for i in order])
-    keep = []
-    suppressed = np.zeros(len(dets), dtype=bool)
-    for start in range(0, len(dets), NMS_BLOCK):
-        stop = start + NMS_BLOCK
-        # hits[p, q]: box start+p, if kept, suppresses box start+q
-        hits = ((iou_matrix(boxes[start:stop], boxes[start:]) > iou_thr)
-                & (classes[start:stop, None] == classes[None, start:]))
-        for p, idx in enumerate(order[start:stop], start):
-            if not suppressed[p]:
-                keep.append(dets[idx])
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
+    classes = np.asarray(classes)[order]
+    keep = []  # positions in score order
+    for start in range(0, len(order), NMS_BLOCK):
+        stop = min(start + NMS_BLOCK, len(order))
+        rows = keep + list(range(start, stop))
+        # hits[r, j]: row box r, if kept, suppresses box start+j
+        hits = ((iou_matrix(boxes[rows], boxes[start:stop]) > iou_thr)
+                & (classes[rows, None] == classes[None, start:stop]))
+        before = len(keep)
+        dead = hits[:before].any(axis=0)
+        for j in range(stop - start):
+            if not dead[j]:
+                keep.append(start + j)
                 if len(keep) == max_keep:
-                    return keep
-                suppressed[start:] |= hits[p - start]
-    return keep
+                    return order[keep]
+                dead |= hits[before + j]
+    return order[keep]

@@ -20,7 +20,8 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
     Softmax per anchor, background dropped, score threshold, decode with
     clamping to the image, then class-aware greedy NMS that stops at its
     MAX_DETS-th kept box. Those are the MAX_DETS highest-scoring boxes the
-    uncapped NMS keeps; candidates after the last keep are never scored.
+    uncapped NMS keeps; candidates after the last keep are never scored, and
+    Detection tuples are built only for the kept boxes.
     """
     x = np.asarray(image, dtype=default_dtype())
     if x.ndim == 3:
@@ -44,9 +45,10 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
     # class-major, anchor-ascending: the order nms breaks score ties by
     k, a = np.nonzero(probs[:, 1:].T >= score_thr)
     k += 1
-    dets = [Detection(tuple(b), c, s)
+    kept = nms(boxes[a], probs[a, k], k, NMS_THR, MAX_DETS)
+    a, k = a[kept], k[kept]
+    return [Detection(tuple(b), c, s)
             for b, c, s in zip(boxes[a].tolist(), k.tolist(), probs[a, k].tolist())]
-    return nms(dets, NMS_THR, MAX_DETS)
 
 
 def save_detections(path, records) -> None:

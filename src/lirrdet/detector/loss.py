@@ -1,7 +1,8 @@
-"""Detection training loss for one image.
+"""Detection training loss terms for one image.
 
 Cross entropy over sampled anchors plus smooth L1 over positive anchors'
-offsets, divided by the positive count (floored at 1). Negatives are
+offsets; the training objective divides their sum by the positive count
+(floored at 1). Negatives are
 hard-mined: the 3:1 highest background cross entropy among negatives,
 with the ratio applied to max(num_positive, 1).
 
@@ -43,8 +44,3 @@ def detection_loss_terms(cls_logits: Tensor, box_offsets: Tensor, match: MatchRe
     loc_loss = smooth_l1(gather_rows(box_offsets, pos_idx),
                          match.box_targets[pos_idx], reduction="sum")
     return cls_loss, loc_loss, npos
-
-
-def detection_loss(cls_logits: Tensor, box_offsets: Tensor, match: MatchResult) -> Tensor:
-    cls_loss, loc_loss, npos = detection_loss_terms(cls_logits, box_offsets, match)
-    return (cls_loss + loc_loss) * (1.0 / max(npos, 1))

@@ -224,11 +224,6 @@ def invariant_risk(batch, model) -> Tensor:
     return _mean_risk(batch, model, False, "invariant_risk")
 
 
-def domain_risk(batch, model) -> Tensor:
-    """Mean detection loss with each sample scored by its domain's own head."""
-    return _mean_risk(batch, model, True, "domain_risk")
-
-
 def _graph_unless_zero(weight: float):
     """Build a term's graph only if its weight can move a parameter."""
     return no_grad() if weight == 0.0 else nullcontext()
@@ -271,13 +266,6 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
         l_total=l_risk_f + cfg.lambda_rep * l_rep_f,
         l_i_cls=i_cls, l_i_loc=i_loc, l_d_cls=d_cls, l_d_loc=d_loc)
     return total, breakdown
-
-
-def lirr_loss(batch_src, batch_tgt, model, classifier, cfg: LirrConfig) -> LossBreakdown:
-    """Evaluate the full objective without building a graph."""
-    with no_grad():
-        _, breakdown = _objective(batch_src, batch_tgt, model, classifier, cfg)
-    return breakdown
 
 
 def train_step(batch_src, batch_tgt, model, classifier, optimizer,

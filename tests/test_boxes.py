@@ -105,6 +105,14 @@ class TestEncodeDecode:
         assert out[0] < 0
 
 
+def nms_dets(dets, thr, k=None):
+    """nms on a Detection list: the kept detections, in keep order."""
+    boxes = np.array([d.bbox for d in dets], dtype=np.float64).reshape(-1, 4)
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    classes = np.array([d.class_id for d in dets], dtype=np.int64)
+    return [dets[i] for i in nms(boxes, scores, classes, thr, k)]
+
+
 def brute_nms(dets, thr):
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     kept = []
@@ -140,29 +148,29 @@ def benchmark_size_dets(rng):
 class TestNMS:
     def test_single(self):
         d = Detection((0, 0, 4, 4), 1, 0.7)
-        assert nms([d], 0.5) == [d]
+        assert nms_dets([d], 0.5) == [d]
 
     def test_identical_pair_keeps_higher(self):
         a = Detection((0, 0, 4, 4), 1, 0.9)
         b = Detection((0, 0, 4, 4), 1, 0.8)
-        assert nms([b, a], 0.5) == [a]
+        assert nms_dets([b, a], 0.5) == [a]
 
     def test_different_classes_do_not_suppress(self):
         a = Detection((0, 0, 4, 4), 1, 0.9)
         b = Detection((0, 0, 4, 4), 2, 0.8)
-        assert nms([a, b], 0.5) == [a, b]
+        assert nms_dets([a, b], 0.5) == [a, b]
 
     def test_score_tie_keeps_lower_index(self):
         a = Detection((0, 0, 4, 4), 1, 0.8)
         b = Detection((0.5, 0, 4.5, 4), 1, 0.8)
-        assert nms([a, b], 0.3) == [a]
+        assert nms_dets([a, b], 0.3) == [a]
 
     @pytest.mark.parametrize("seed,make", [(s, small_dets) for s in range(5)]
                              + [(5, benchmark_size_dets)],
                              ids=[*map(str, range(5)), "400-boxes"])
     def test_matches_brute_force(self, seed, make):
         dets = make(np.random.default_rng(100 + seed))
-        got = nms(dets, 0.4)
+        got = nms_dets(dets, 0.4)
         want = [dets[i] for i in brute_nms(dets, 0.4)]
         assert got == want
 
@@ -170,7 +178,7 @@ class TestNMS:
         rng = np.random.default_rng(105)
         boxes = random_boxes(rng, 30, size=32, min_side=4)
         dets = [Detection(tuple(b), 1, float(rng.uniform(0, 1))) for b in boxes]
-        out = nms(dets, 0.45)
+        out = nms_dets(dets, 0.45)
         assert all(d in dets for d in out)
         scores = [d.score for d in out]
         assert scores == sorted(scores, reverse=True)
@@ -178,16 +186,56 @@ class TestNMS:
             for j in range(i + 1, len(out)):
                 assert iou(out[i].bbox, out[j].bbox) <= 0.45
 
+    def test_keep_in_block_0_suppresses_candidates_in_later_blocks(self):
+        # in score order: the top box, then disjoint boxes, with copies of the
+        # top box at the start of block 1 and inside block 2; only the keep in
+        # block 0 can kill them
+        n = 2 * NMS_BLOCK + 5
+        boxes = [(10 * p, 20, 10 * p + 8, 28) for p in range(n)]
+        for p in (NMS_BLOCK, 2 * NMS_BLOCK + 3):
+            boxes[p] = (0, 20, 8, 28.5)
+        dets = [Detection(b, 1, 1.0 - p / 1000) for p, b in enumerate(boxes)][::-1]
+        got = nms_dets(dets, 0.5)
+        assert got == [dets[i] for i in brute_nms(dets, 0.5)]
+        assert len(got) == n - 2 and got[0].bbox == boxes[0]
+
+    @pytest.mark.parametrize("k", [NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1, 2 * NMS_BLOCK])
+    def test_cap_at_a_block_edge(self, k):
+        # disjoint boxes: every candidate is a keep, so the k-th keep is at
+        # position k - 1, on or next to a block edge
+        dets = [Detection((10 * i, 0, 10 * i + 8, 8), 1, 1.0 - i / 1000)
+                for i in range(3 * NMS_BLOCK)]
+        assert nms_dets(dets, 0.5, k) == dets[:k]
+
+    def test_zero_candidates(self):
+        got = nms(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64), 0.5, 100)
+        assert got.shape == (0,) and got.dtype == np.intp
+
+    @pytest.mark.parametrize("thr", [0.0, 0.5])
+    def test_nan_and_zero_area_boxes_never_hit(self, thr):
+        # IoU with a NaN or zero-area box is 0, which is not > thr
+        nan = float("nan")
+        dets = [Detection((0, 0, 8, 8), 1, 0.9),
+                Detection((0, 0, 8, nan), 1, 0.8),
+                Detection((nan, nan, nan, nan), 1, 0.7),
+                Detection((0, 0, 8, nan), 1, 0.6),
+                Detection((4, 4, 4, 4), 1, 0.5),
+                Detection((4, 4, 4, 4), 1, 0.4),
+                Detection((2, 2, 2, 6), 1, 0.3),
+                Detection((0, 0, 8, 8), 1, 0.2)]
+        assert nms_dets(dets, thr) == dets[:-1]
+
     def test_bad_max_keep_rejected(self):
         d = Detection((0, 0, 4, 4), 1, 0.7)
         for k in (0, -1):
             with pytest.raises(ValueError, match="max_keep"):
-                nms([d], 0.5, k)
+                nms_dets([d], 0.5, k)
 
 
-# sizes at and on both sides of block edges, and the 480 candidates of an
-# untrained 64-px detector
-BLOCK_EDGE_SIZES = (0, 1, *(m * NMS_BLOCK + d for m in (1, 2, 4) for d in (-1, 0, 1)), 480)
+# sizes at and on both sides of half-block and block edges, and the 480
+# candidates of an untrained 64-px detector
+BLOCK_EDGE_SIZES = (0, 1, *(m * NMS_BLOCK // 2 + d for m in (1, 2, 4, 8) for d in (-1, 0, 1)),
+                    480)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
@@ -195,7 +243,7 @@ BLOCK_EDGE_SIZES = (0, 1, *(m * NMS_BLOCK + d for m in (1, 2, 4) for d in (-1, 0
 @given(num_classes=st.integers(1, 3), score_levels=st.sampled_from([3, 20, 2**20]),
        thr=st.sampled_from([0.0, 0.3, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_capped_nms_is_a_prefix_of_brute_force(n, num_classes, score_levels, thr, seed):
-    # nms(dets, thr, k) keeps exactly the first k boxes of the uncapped greedy walk
+    # nms_dets(dets, thr, k) keeps exactly the first k boxes of the uncapped greedy walk
     rng = np.random.default_rng(seed)
     boxes = random_boxes(rng, n, size=64, min_side=2)
     boxes[::7] = np.round(boxes[::7])  # exact IoU ties
@@ -204,4 +252,4 @@ def test_capped_nms_is_a_prefix_of_brute_force(n, num_classes, score_levels, thr
             for b in boxes.tolist()]
     want = [dets[i] for i in brute_nms(dets, thr)]
     for k in (1, 5, 100, n + 1, None):
-        assert nms(dets, thr, k) == want[:k], k
+        assert nms_dets(dets, thr, k) == want[:k], k

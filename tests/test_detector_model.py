@@ -14,11 +14,11 @@ from lirrdet.detector import (
     LevelSpec,
     MatchResult,
     ModelSpec,
-    detection_loss,
     forward_detect,
     match_anchors,
     save_detections,
 )
+from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.detector.model import _flatten_head
 from lirrdet.detector.boxes import Detection, decode_boxes, iou
 from lirrdet.detector.inference import MAX_DETS, NMS_THR
@@ -35,6 +35,12 @@ SMALL_SPEC = ModelSpec(
 
 def small_model(seed=0):
     return Detector(SMALL_SPEC, rng=np.random.default_rng(seed))
+
+
+def detection_loss(cls_logits, box_offsets, match):
+    """One image's loss as the training objective normalizes it."""
+    cls_loss, loc_loss, npos = detection_loss_terms(cls_logits, box_offsets, match)
+    return (cls_loss + loc_loss) * (1.0 / max(npos, 1))
 
 
 class TestModelWiring:

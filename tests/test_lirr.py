@@ -14,21 +14,32 @@ from lirrdet.autodiff import (
     no_grad,
     precision,
 )
-from lirrdet.detector import detection_loss, match_anchors
+from lirrdet.detector import match_anchors
 from lirrdet.lirr import (
+    _mean_risk,
+    _objective,
     DomainClassifier,
     DomainLabel,
     LirrConfig,
     LossBreakdown,
-    domain_risk,
     invariant_risk,
-    lirr_loss,
     rep_loss,
     risk_loss,
     train_step,
 )
 
-from test_detector_model import SMALL_SPEC, small_model, ref_detection_loss
+from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_detection_loss
+
+
+def domain_risk(batch, model):
+    """Mean detection loss with each sample scored by its domain's own head."""
+    return _mean_risk(batch, model, True, "domain_risk")
+
+
+def lirr_loss(batch_src, batch_tgt, model, classifier, cfg):
+    """The full objective's LossBreakdown, without building a graph."""
+    with no_grad():
+        return _objective(batch_src, batch_tgt, model, classifier, cfg)[1]
 
 
 def make_sample(rng, domain, base_shade, size=32):

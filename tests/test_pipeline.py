@@ -488,13 +488,22 @@ class TestCli:
         ("gen", {"source": {"noise_sigma": "x"}}, "config key source.noise_sigma must be a number"),
         ("gen", {"scene": {"foo": 1}}, "unknown config keys: ['scene.foo']"),
         ("gen", {"scene": {"polygon_sides": [3]}}, "polygon_sides"),
+        ("train", b"not json", "cfg.json: config is not valid JSON"),
+        ("train", b"\xff\xfe{}", "cfg.json: config is not valid JSON"),
+        ("gen", b"not json", "cfg.json: config is not valid JSON"),
+        ("gen", b"\xff\xfe{}", "cfg.json: config is not valid JSON"),
+        pytest.param("train", b"[" * 100_000 + b"]" * 100_000,
+                     "cfg.json: config is not valid JSON", id="train-too-deep"),
     ])
     def test_bad_config_value_reported(self, tmp_path, capsys, command, config, message):
-        if command == "train":
-            config = {"source_path": "s", "target_train_path": "t",
-                      "target_test_path": "e", **config}
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(config))
+        if isinstance(config, bytes):  # a file that is not UTF-8 JSON
+            p.write_bytes(config)
+        else:
+            if command == "train":
+                config = {"source_path": "s", "target_train_path": "t",
+                          "target_test_path": "e", **config}
+            p.write_text(json.dumps(config))
         out = ["--out", str(tmp_path / "data")] if command == "gen" else []
         assert main([command, "--config", str(p), *out]) == 1
         err = capsys.readouterr().err
