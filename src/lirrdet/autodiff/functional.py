@@ -24,13 +24,25 @@ __all__ = [
 ]
 
 
+def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the spatial axes of a 4-D array by ph, pw per side; a negative pad crops."""
+    if ph == 0 and pw == 0:
+        return a
+    c, n, h, w = a.shape
+    out = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=a.dtype)
+    sh, sw, dh, dw = max(-ph, 0), max(-pw, 0), max(ph, 0), max(pw, 0)
+    out[:, :, dh:dh + h - 2 * sh, dw:dw + w - 2 * sw] = a[:, :, sh:h - sh, sw:w - sw]
+    return out
+
+
 def _im2col(xpad: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xpad.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xpad.dtype)
+    """Channel-major (C, N, Hp, Wp) input to the (C*kh*kw, N*ho*wo) GEMM operand."""
+    c, n = xpad.shape[:2]
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=xpad.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols
+            cols[:, i, j] = xpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * kh * kw, n * ho * wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -38,7 +50,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """2-D cross-correlation of an NCHW input with an FCkk kernel stack.
 
     Output spatial size is floor((H + 2*padding - kh) / stride) + 1 (same for
-    W). No kernel flip. Computed as one matrix product over im2col patches.
+    W). No kernel flip. One matrix product over channel-major im2col patches.
+    A stride-1 input gradient is the output gradient, padded by k-1-padding,
+    correlated with the flipped kernel, F and C swapped (Dumoulin & Visin
+    2016); a strided one is a col2im. An untracked input gets no gradient.
 
     Args:
         x: input of shape (N, C, H, W).
@@ -63,31 +78,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
 
-    if padding > 0:
-        xpad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
-        xpad[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xpad = x.data
-
-    cols = _im2col(xpad, kh, kw, stride, ho, wo)
-    cols2 = cols.reshape(n, c * kh * kw, ho * wo).transpose(1, 0, 2).reshape(c * kh * kw, n * ho * wo)
+    xpad = _pad(x.data.transpose(1, 0, 2, 3), padding, padding)
+    cols2 = _im2col(xpad, kh, kw, stride, ho, wo)
     w2 = weight.data.reshape(f, c * kh * kw)
-    out2 = w2 @ cols2
-    out_data = out2.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+    out_data = (w2 @ cols2).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    x_tracked = x.requires_grad or x._entry is not None
 
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo))
         dw = (g2 @ cols2.T).reshape(f, c, kh, kw)
-        dcols2 = weight.data.reshape(f, c * kh * kw).T @ g2
-        dcols = dcols2.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
-        dxpad = np.zeros_like(xpad)
-        for i in range(kh):
-            for j in range(kw):
-                dxpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
-        dx = dxpad[:, :, padding:padding + h, padding:padding + w] if padding > 0 else dxpad
+        dx = None
+        if x_tracked and stride == 1:
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * kh * kw)
+            gcols = _im2col(_pad(g2.reshape(f, n, ho, wo), kh - 1 - padding, kw - 1 - padding),
+                            kh, kw, 1, h, w)
+            dx = (wflip @ gcols).reshape(c, n, h, w).transpose(1, 0, 2, 3)
+        elif x_tracked:
+            dcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo)
+            dxpad = np.zeros(xpad.shape, dtype=xpad.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+            dx = dxpad[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
         if bias is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
@@ -199,14 +214,17 @@ def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; backward scatter-adds into the source."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """Select rows of a 2-D tensor by index array or slice; backward scatter-adds."""
+    idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.int64)
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D tensor, got {x.data.shape}")
 
     def backward_fn(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
+        if isinstance(idx, slice):
+            dx[idx] += g
+        else:
+            np.add.at(dx, idx, g)
         return (dx,)
 
     return _op(x.data[idx], (x,), backward_fn)

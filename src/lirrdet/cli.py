@@ -60,6 +60,8 @@ def _load_experiment_config(path: str) -> ExperimentConfig:
     if isinstance(d, dict) and "config" in d and "eval_series" in d:
         # a run report; use its embedded echo, minus the retired no-op
         # "deterministic" key that older reports carry
+        if not isinstance(d["config"], dict):
+            raise ValueError(f"{path}: run report key config must be a JSON object, got {d['config']!r}")
         d = {k: v for k, v in d["config"].items() if k != "deterministic"}
     return ExperimentConfig.from_dict(d)
 

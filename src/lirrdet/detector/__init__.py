@@ -1,4 +1,4 @@
-from .boxes import Detection, decode_boxes, encode_boxes, iou, iou_matrix, nms
+from .boxes import Detection, decode_boxes, encode_boxes, iou_matrix, nms
 from .anchors import AnchorGrid, LevelSpec, generate_anchors
 from .matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from .model import Detector, ModelSpec
@@ -17,7 +17,6 @@ __all__ = [
     "encode_boxes",
     "forward_detect",
     "generate_anchors",
-    "iou",
     "iou_matrix",
     "match_anchors",
     "nms",

@@ -2,7 +2,7 @@
 
 Boxes are corner-format (x1, y1, x2, y2) in continuous pixel coordinates,
 so width is x2 - x1 with no +1 convention. The package computes every IoU
-with ``iou_matrix``; the scalar ``iou`` is the tests' reference for it.
+with ``iou_matrix``.
 
 ``nms`` walks the candidates in score order in blocks of NMS_BLOCK columns,
 scoring each block only against the keeps so far and itself. This is exact:
@@ -26,21 +26,6 @@ class Detection(NamedTuple):
     score: float
 
 
-def iou(a, b) -> float:
-    """IoU of two boxes; the tests' reference for ``iou_matrix``, bit for bit."""
-    ix1 = max(a[0], b[0])
-    iy1 = max(a[1], b[1])
-    ix2 = min(a[2], b[2])
-    iy2 = min(a[3], b[3])
-    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N,4) and (M,4) corner boxes, result (N,M)."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
@@ -49,7 +34,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
     ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
     iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0.0, None) * np.clip(iy2 - iy1, 0.0, None)
+    inter = np.maximum(ix2 - ix1, 0.0) * np.maximum(iy2 - iy1, 0.0)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter

@@ -30,10 +30,6 @@ class MatchResult:
     box_targets: np.ndarray    # (A, 4): encoded offsets, zero rows off-positive
     num_positive: int
 
-    @property
-    def positive_mask(self) -> np.ndarray:
-        return self.gt_index >= 0
-
 
 def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
                   pos_thr: float = 0.5, neg_thr: float = 0.4) -> MatchResult:
@@ -54,7 +50,7 @@ def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
     ious = iou_matrix(anchors.boxes, gt_boxes)  # (A, G)
     best_gt = np.argmax(ious, axis=1)
     best_iou = ious[np.arange(num_anchors), best_gt]
-    gt_index = np.select([best_iou >= pos_thr, best_iou < neg_thr], [best_gt, NEGATIVE], IGNORE)
+    gt_index = np.where(best_iou >= pos_thr, best_gt, np.where(best_iou < neg_thr, NEGATIVE, IGNORE))
 
     forced = np.full(num_anchors, False)
     for g in range(gt_boxes.shape[0]):

@@ -197,9 +197,9 @@ def _risk_sum(feats, batch, matches, model, by_domain: bool):
         for b, match in enumerate(matches):
             if heads[b] != head:
                 continue
-            idx = np.arange(b * num_anchors, (b + 1) * num_anchors)
-            ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, idx),
-                                                gather_rows(flat_loc, idx), match)
+            rows = slice(b * num_anchors, (b + 1) * num_anchors)
+            ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, rows),
+                                                gather_rows(flat_loc, rows), match)
             norm = 1.0 / max(npos, 1)
             sample = (ct + lt) * norm
             cls_val += float(ct.data) * norm

@@ -22,7 +22,7 @@ from lirrdet.cli import main
 from lirrdet.coco_eval import (EvalInput, RECALL_GRID, average_precision,
                                evaluate, match_detections)
 from lirrdet.detector.anchors import generate_anchors
-from lirrdet.detector.boxes import Detection, decode_boxes, encode_boxes, iou
+from lirrdet.detector.boxes import Detection, decode_boxes, encode_boxes
 from lirrdet.detector.matching import IGNORE, NEGATIVE, match_anchors
 from lirrdet.detector.model import Detector, ModelSpec
 from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
@@ -31,6 +31,7 @@ from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, make_benchmark,
                               render_scene, render_scene_parts, save_dataset,
                               SOURCE_DOMAIN, TARGET_DOMAIN)
 
+from _box_ref import iou
 from test_boxes import nms_dets
 
 

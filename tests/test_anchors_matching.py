@@ -11,6 +11,7 @@ from lirrdet.detector import (
     match_anchors,
 )
 
+from _box_ref import iou
 from test_boxes import random_boxes, ref_iou
 
 
@@ -163,7 +164,6 @@ class TestMatchAnchors:
         grid = _loose_grid()
         gts = random_boxes(rng, 6, size=64, min_side=5)
         m = match_anchors(gts, np.ones(6, dtype=int), grid, pos_thr=0.5, neg_thr=0.4)
-        from lirrdet.detector import iou
         for a in np.flatnonzero(m.gt_index >= 0):
             g = m.gt_index[a]
             ok = iou(grid.boxes[a], gts[g]) >= 0.5

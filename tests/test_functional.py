@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import _conv_ref
 from lirrdet.autodiff import (
     ShapeError,
     Tensor,
@@ -19,6 +21,8 @@ from lirrdet.autodiff import (
 )
 
 from _gradcheck import finite_diff_grads, max_rel_err
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def direct_conv2d(x, weight, bias, stride, padding):
@@ -37,6 +41,92 @@ def direct_conv2d(x, weight, bias, stride, padding):
                     window = xpad[ni, :, ys:ys + kh, xs:xs + kw]
                     out[ni, fi, yi, xi] = np.sum(window * weight[fi]) + bias[fi]
     return out
+
+
+def direct_conv2d_dx(g, weight, h, w, stride, padding):
+    """Reference input gradient: each output pixel's gradient spread over its window."""
+    n, f, ho, wo = g.shape
+    _, c, kh, kw = weight.shape
+    dxpad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+    for ni in range(n):
+        for fi in range(f):
+            for yi in range(ho):
+                for xi in range(wo):
+                    ys, xs = yi * stride, xi * stride
+                    dxpad[ni, :, ys:ys + kh, xs:xs + kw] += g[ni, fi, yi, xi] * weight[fi]
+    return dxpad[:, :, padding:padding + h, padding:padding + w]
+
+
+def _conv_grads(conv, x0, k0, b0, g0, stride, padding, track_x=True):
+    """Output, dx, dW and db of `conv` for the upstream gradient g0."""
+    tx = Tensor(x0, requires_grad=track_x)
+    tk, tb = Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True)
+    out = conv(tx, tk, tb, stride=stride, padding=padding)
+    backward((out * Tensor(g0)).sum())
+    return out.data, tx.grad, tk.grad, tb.grad
+
+
+@st.composite
+def conv_cases(draw):
+    n, c, f = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w, kh, kw = (draw(st.integers(1, 8)) for _ in range(4))
+    assume(h != w and kh != kw)
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+    dtype = draw(st.sampled_from(["float32", "float64"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    arrays = [rng.normal(size=s) for s in ((n, c, h, w), (f, c, kh, kw), (f,), (n, f, ho, wo))]
+    return arrays, stride, padding, dtype
+
+
+@FUZZ
+@given(conv_cases())
+def test_conv2d_matches_batch_major_reference(case):
+    """Forward, dW, db and a strided dx are the batch-major im2col conv's bytes;
+    a stride-1 dx (a conv of the padded gradient) agrees to rounding.
+
+    Where each of several images has one output pixel, the reference's
+    column reshape is a view, so BLAS reads a transposed operand and may
+    round its products differently; there the values agree to rounding."""
+    (x0, k0, b0, g0), stride, padding, dtype = case
+    (n, _, h, w), (ho, wo) = x0.shape, g0.shape[2:]
+    exact = n == 1 or ho * wo > 1
+    rtol = 1e-5 if dtype == "float32" else 1e-12
+    with precision(dtype):
+        got = _conv_grads(conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)), stride, padding)
+        want = _conv_grads(_conv_ref.conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)),
+                           stride, padding)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype == np.dtype(dtype) and a.shape == b.shape
+        if exact and (i != 1 or stride > 1):
+            assert a.tobytes() == b.tobytes(), ("out", "dx", "dW", "db")[i]
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * max(np.abs(b).max(), 1.0))
+    if stride == 1:
+        with precision("float64"):
+            dx = _conv_grads(conv2d, x0, k0, b0, g0, 1, padding)[1]
+            ref = _conv_grads(_conv_ref.conv2d, x0, k0, b0, g0, 1, padding)[1]
+        direct = direct_conv2d_dx(g0, k0, h, w, 1, padding)
+        for other in (ref, direct):
+            np.testing.assert_allclose(dx, other, rtol=1e-12, atol=1e-12 * np.abs(other).max())
+        np.testing.assert_allclose(got[1], direct, rtol=rtol, atol=rtol * np.abs(direct).max())
+    with precision(dtype):
+        untracked = _conv_grads(conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)),
+                                stride, padding, track_x=False)
+    assert untracked[1] is None
+    assert untracked[2].tobytes() == got[2].tobytes() and untracked[3].tobytes() == got[3].tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_rule_returns_no_dx_for_untracked_input(stride):
+    # conv1 reads the image, whose gradient nobody reads: no dx is computed
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+    k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    out = conv2d(x, k, stride=stride, padding=1)
+    dx, dk = out._entry.backward(np.ones_like(out.data))
+    assert dx is None and dk.shape == k.data.shape
+    backward(out.sum())  # sweep the entry off this thread's tape
 
 
 class TestConv2d:
@@ -273,6 +363,26 @@ class TestGatherConcat:
             out = gather_rows(x, [1, 1, 3])
             backward(out.sum())
             np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("rows", [slice(2, 5), slice(0, 6), slice(1, 6, 2), slice(4, 0, -2),
+                                      slice(3, 3)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gather_rows_slice_matches_index_scatter(self, rows, dtype):
+        # a slice's rows: a view forward, and the bytes of np.add.at into zeros
+        # backward, also where the gradient holds -0.0
+        rng = np.random.default_rng(604)
+        with precision(dtype):
+            x0 = rng.normal(size=(6, 3)).astype(dtype)
+            x = Tensor(x0, requires_grad=True)
+            out = gather_rows(x, rows)
+            assert out.data.tobytes() == x0[rows].tobytes()
+            assert np.shares_memory(out.data, x0) == (out.data.size > 0)
+            g = rng.normal(size=out.data.shape).astype(dtype)
+            g[::2] = -0.0
+            backward((out * Tensor(g)).sum())
+        want = np.zeros_like(x0)
+        np.add.at(want, np.arange(6)[rows], g)
+        assert x.grad.tobytes() == want.tobytes()
 
     def test_concat_gradcheck(self):
         rng = np.random.default_rng(602)

@@ -510,6 +510,15 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_report_shaped_config_with_bad_config_key(self, tmp_path, capsys, command):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"config": [1], "eval_series": []}))
+        assert main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and "key config" in err
+        assert len(err.splitlines()) == 1
+
     def test_bad_config_key_reported(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"modee": "SDA"}))

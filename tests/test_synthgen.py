@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import _render_ref
+from _box_ref import iou
 from _containerfile import edit_container
-from lirrdet.detector import iou
 from lirrdet.lirr import DomainLabel
 from lirrdet.synthgen import (
     Background,
