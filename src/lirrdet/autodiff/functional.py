@@ -98,7 +98,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             dx = (wflip @ gcols).reshape(c, n, h, w).transpose(1, 0, 2, 3)
         elif x_tracked:
             dcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo)
-            dxpad = np.zeros(xpad.shape, dtype=xpad.dtype)
+            dxpad = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]

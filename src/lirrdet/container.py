@@ -5,11 +5,13 @@ holds ``version``, the caller's keys, a ``blocks`` table of
 ``[name, nbytes, crc32]`` entries in file order, and last ``header_crc32``,
 the CRC-32 of the header's JSON without that key. A header line is accepted
 only if it is byte for byte the one `write` makes from its parsed content,
-so any change to its bytes is caught.
+so any change to its bytes is caught. `write` also takes a block as a list of
+parts, written back to back; its ``nbytes`` and ``crc32`` cover them joined.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import os
@@ -45,11 +47,14 @@ def _header_line(header: dict) -> bytes:
 
 
 def write(path, header: dict, blocks: dict) -> None:
-    """Write `header` and the named C-contiguous bytes-like `blocks` to `path`, atomically."""
-    table = [[name, memoryview(b).nbytes, zlib.crc32(b)] for name, b in blocks.items()]
+    """Write `header` and the named `blocks` to `path`, atomically. A block is a C-contiguous
+    bytes-like object or a list of them; any other part raises before a file is made."""
+    parts = {name: [memoryview(p) for p in (b if isinstance(b, list) else [b])] for name, b in blocks.items()}
+    table = [[name, sum(v.nbytes for v in vs), functools.reduce(lambda crc, v: zlib.crc32(v, crc), vs, 0)]
+             for name, vs in parts.items()]
     with atomic_open(path, "wb") as f:
         f.write(_header_line({"version": VERSION, **header, "blocks": table}) + b"\n")
-        f.writelines(blocks.values())
+        f.writelines(v for vs in parts.values() for v in vs)
 
 
 def read(path, error_cls) -> tuple[dict, dict[str, memoryview]]:

@@ -18,6 +18,7 @@ checkpoint plus the test split.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -135,7 +136,7 @@ class ExperimentConfig:
         return d
 
 
-# what `lirrdet report` reads from a run report, and the JSON types it takes
+# what `lirrdet report` reads from a run report, and the JSON types it takes (numbers fit a float)
 _REPORT_FIELDS = {"config.mode": str, "config.label_budget": int,
                   "final.ap": (int, float), "final.ap50": (int, float), "final.ap75": (int, float)}
 
@@ -175,7 +176,8 @@ class RunReport:
         for key, kind in _REPORT_FIELDS.items():
             part, field_name = key.split(".")
             value = d[part].get(field_name) if isinstance(d.get(part), dict) else None
-            if not isinstance(value, kind) or isinstance(value, bool):
+            fits = isinstance(value, kind) and not isinstance(value, bool)
+            if not fits or (kind is not str and abs(value) > sys.float_info.max):
                 raise ValueError(f"{path}: run report key {key} is missing or invalid ({value!r})")
         return cls(**d)
 
@@ -212,9 +214,7 @@ def batch_schedule(n: int, batch_size: int, steps: int, seed, stream: int) -> np
 
 
 def _evaluate_model(model, test_samples) -> tuple:
-    gt = {}
-    dets = {}
-    records = []
+    gt, dets, records = {}, {}, []
     for s in test_samples:
         gt[s.image_id] = [(tuple(float(v) for v in b), int(c))
                           for b, c in zip(s.gt_boxes, s.gt_classes)]
@@ -263,9 +263,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_INIT)))
     model = Detector(config.model_spec, rng=rng)
     classifier = DomainClassifier(config.widths[-1], rng=rng) if mode == Mode.SDA else None
-    params = list(model.parameters())
-    if classifier is not None:
-        params += list(classifier.parameters())
+    params = model.parameters() + (classifier.parameters() if classifier is not None else [])
     optimizer = SGD(params, lr=config.lr, momentum=config.momentum)
     if classifier is None:
         step_fn = partial(_supervised_step, model=model, optimizer=optimizer)

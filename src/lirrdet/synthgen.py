@@ -391,9 +391,15 @@ class BenchmarkSplits:
 
 
 def make_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkSplits:
-    """Render all splits. The small target split is a prefix of the full one."""
+    """Render all splits, each into one (count, 1, H, W) float32 array whose rows
+    are the samples' images. The small target split is a prefix of the full one."""
     def run(params, domain, start, count):
-        return [render_scene(config.scene, params, start + i, domain) for i in range(count)]
+        samples = []
+        for i, row in enumerate(np.empty((count, 1, config.scene.size, config.scene.size), np.float32)):
+            samples.append(render_scene(config.scene, params, start + i, domain))
+            row[...] = samples[-1].image   # the render is freed once the sample holds its row
+            samples[-1].image = row
+        return samples
 
     source_train = run(config.source, DomainLabel.SOURCE, config.source_start, config.source_count)
     target_full = run(config.target, DomainLabel.TARGET, config.target_train_start, config.target_train_full)
@@ -427,7 +433,7 @@ def save_dataset(samples, path, config: dict | None = None) -> None:
         "classes": np.asarray(s.gt_classes, dtype=np.int64).tolist(),
     }) + "\n" for s in samples)
     header = {"count": len(samples), "image_shape": list(samples[0].image.shape), "config": config or {}}
-    write(path, header, {"images": np.stack([s.image for s in samples], dtype="<f4"),
+    write(path, header, {"images": [np.ascontiguousarray(s.image, dtype="<f4") for s in samples],
                          "annotations": annotations.encode()})
 
 

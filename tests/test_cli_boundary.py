@@ -1,0 +1,179 @@
+"""The CLI boundary: every config or report file either works or gives one
+`error:` line and exit status 1, never a traceback.
+
+Generated JSON (valid files with up to three keys or items replaced,
+dropped or added, and arbitrary JSON values) and raw bytes go through
+`cli.main` for `train --config`, `eval --config`, `gen --config` and
+`report`. The subject is the boundary, so `run_experiment`,
+`evaluate_checkpoint` and `make_benchmark` are stubs that record the config
+they get, and an accepted config must be well formed; the pipeline tests
+cover the real runs.
+"""
+
+import copy
+import functools
+import io
+import json
+import operator
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lirrdet import cli
+from lirrdet.lirr import DomainLabel
+from lirrdet.pipeline import ExperimentConfig, RunReport
+from lirrdet.synthgen import BenchmarkConfig, BenchmarkSplits, Sample
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# integers include ones no float can hold, which a JSON parser still reads
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -10**400]) | st.floats()
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6)
+
+_EXPERIMENT = ExperimentConfig(source_path="s.bin", target_train_path="t.bin",
+                               target_test_path="x.bin").to_dict()
+_BENCHMARK = BenchmarkConfig().to_dict()
+_REPORT = RunReport(config=_EXPERIMENT, eval_series=[{"step": 1, "ap": 0.5}],
+                    final={"ap": 0.5, "ap50": 0.75, "ap75": 0.25}).to_dict()
+VALID = {"train": [_EXPERIMENT, _REPORT], "eval": [_EXPERIMENT, _REPORT],
+         "gen": [_BENCHMARK], "report": [_REPORT]}
+
+
+def _paths(node, depth, prefix=()):
+    """Every key/index path into a parsed JSON document, down to `depth` levels."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items if depth else ():
+        yield prefix + (key,)
+        yield from _paths(child, depth - 1, prefix + (key,))
+
+
+def _near(value):
+    """Values of the same JSON type as `value`, which get past type checks."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, (int, float)):
+        return st.integers(-2, 10) | st.floats(-10.0, 10.0)
+    return st.text(max_size=6) if isinstance(value, str) else st.nothing()
+
+
+@st.composite
+def _edited(draw, base):
+    """`base` with up to three keys or items replaced, dropped or added."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc, draw(st.integers(1, 3))))
+        if not paths:
+            break
+        *parent, key = draw(st.sampled_from(paths))
+        node = functools.reduce(operator.getitem, parent, doc)
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace":
+            node[key] = draw(_near(node[key]) | JSON_VALUES)
+        elif action == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        else:
+            node.append(draw(JSON_VALUES))
+    return doc
+
+
+def _contents(command):
+    docs = st.one_of(*(_edited(base) for base in VALID[command]), JSON_VALUES)
+    return docs.map(lambda d: json.dumps(d).encode()) | st.binary(max_size=64)
+
+
+def _typed_like(value, default) -> bool:
+    """Whether `value` has the JSON types of `default`; an integer may fill a float."""
+    if isinstance(default, dict):
+        return isinstance(value, dict) and value.keys() == default.keys() \
+            and all(_typed_like(value[k], default[k]) for k in default)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_typed_like(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _well_formed(cfg) -> bool:
+    """What a stub checks of the config it gets: its echo has the default's
+    JSON types, and every (lo, hi) range of a scene is ordered."""
+    if isinstance(cfg, ExperimentConfig):
+        return _typed_like(cfg.to_dict(), _EXPERIMENT)
+    scene = cfg.scene
+    ranges = (scene.polygon_sides, scene.scale_range, scene.position_range, scene.rotation_range)
+    return _typed_like(cfg.to_dict(), _BENCHMARK) and all(lo <= hi for lo, hi in ranges)
+
+
+@pytest.fixture
+def stubs(monkeypatch):
+    """Replace the long-running entry points; each records the config it gets."""
+    calls = []
+    sample = Sample(image=np.zeros((1, 16, 16), dtype=np.float32), gt_boxes=np.array([[1.0, 1.0, 4.0, 4.0]]),
+                    gt_classes=np.array([1]), domain=DomainLabel.TARGET, image_id=0)
+
+    def run_experiment(cfg):
+        calls.append(cfg)
+        return SimpleNamespace(final={"ap": 0.5, "ap50": 0.75, "ap75": 0.25})
+
+    def evaluate_checkpoint(cfg, checkpoint_path=None):
+        calls.append(cfg)
+        return SimpleNamespace(to_dict=lambda: {"ap": 0.5}), []
+
+    def make_benchmark(cfg):
+        calls.append(cfg)
+        return BenchmarkSplits([sample], [sample], [sample], [sample])
+
+    for name, stub in (("run_experiment", run_experiment), ("evaluate_checkpoint", evaluate_checkpoint),
+                       ("make_benchmark", make_benchmark)):
+        monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def _argv(command, path, tmp_path):
+    if command == "report":
+        return ["report", str(path)]
+    out = ["--out", str(tmp_path / "out")] if command in ("train", "gen") else []
+    return [command, "--config", str(path), *out]
+
+
+def _run(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_valid_files_run(stubs, tmp_path, command):
+    path = tmp_path / "in.json"
+    for doc in VALID[command]:
+        path.write_text(json.dumps(doc))
+        assert _run(_argv(command, path, tmp_path)) == (0, "")
+    assert len(stubs) == (0 if command == "report" else len(VALID[command]))
+    assert all(_well_formed(cfg) for cfg in stubs)
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_any_file_works_or_prints_one_error_line(stubs, tmp_path_factory, command):
+    tmp_path = tmp_path_factory.mktemp(command)
+    path = tmp_path / "in.json"
+
+    @FUZZ
+    @given(content=_contents(command))
+    def check(content):
+        path.write_bytes(content)
+        stubs.clear()
+        code, err = _run(_argv(command, path, tmp_path))
+        if code == 0:
+            assert err == "" and all(_well_formed(cfg) for cfg in stubs), stubs
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+    check()

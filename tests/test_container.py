@@ -2,16 +2,17 @@
 public loaders, bit-exact round trips, and atomic replacement of output files."""
 
 import json
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lirrdet import cli
+from lirrdet import cli, container
 from lirrdet.autodiff import CheckpointError, load_checkpoint, save_checkpoint
 from lirrdet.container import atomic_open
 from lirrdet.detector import Detection, save_detections
@@ -181,6 +182,33 @@ def test_checkpoint_round_trips_bit_for_bit(tmp_path_factory, dtype, data, names
     again = path.with_name("again.bin")
     save_checkpoint(again, loaded)
     assert again.read_bytes() == path.read_bytes()
+
+
+@FUZZ
+@given(parts=st.lists(st.binary(max_size=24) | hnp.arrays(st.sampled_from(["u1", "<i4", ">f8"]),
+                                                          hnp.array_shapes(min_dims=0, max_dims=2, min_side=0)),
+                      max_size=5))
+@example(parts=[])
+@example(parts=[b"ab", np.arange(3, dtype="<i4"), bytearray(b"c"), np.zeros((2, 2)), memoryview(b"de")])
+def test_list_block_is_its_parts_joined(tmp_path_factory, parts):
+    d = tmp_path_factory.mktemp("parts")
+    joined = b"".join(memoryview(p).tobytes() for p in parts)
+    container.write(d / "list.bin", {"k": 1}, {"a": parts, "b": b"tail"})
+    container.write(d / "one.bin", {"k": 1}, {"a": joined, "b": b"tail"})
+    raw = (d / "list.bin").read_bytes()
+    assert raw == (d / "one.bin").read_bytes()
+    assert json.loads(raw[:raw.index(b"\n")])["blocks"][0] == ["a", len(joined), zlib.crc32(joined)]
+    header, blocks = container.read(d / "list.bin", ValueError)
+    assert header == {"k": 1} and bytes(blocks["a"]) == joined and bytes(blocks["b"]) == b"tail"
+
+
+@pytest.mark.parametrize("part", [np.arange(12.0).reshape(3, 4)[:, ::2], np.asfortranarray(np.ones((2, 3))),
+                                  memoryview(b"abcdef")[::2]], ids=["strided", "fortran", "memoryview"])
+def test_non_contiguous_part_raises_before_any_file(tmp_path, part):
+    for block in ([b"ok", part], part):
+        with pytest.raises(BufferError):
+            container.write(tmp_path / "x.bin", {}, {"a": b"first", "b": block})
+    assert list(tmp_path.iterdir()) == []
 
 
 class _Boom(Exception):

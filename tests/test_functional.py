@@ -1,5 +1,7 @@
 """Convolution, pooling, loss and reversal ops: values and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -126,6 +128,27 @@ def test_conv2d_rule_returns_no_dx_for_untracked_input(stride):
     out = conv2d(x, k, stride=stride, padding=1)
     dx, dk = out._entry.backward(np.ones_like(out.data))
     assert dx is None and dk.shape == k.data.shape
+    backward(out.sum())  # sweep the entry off this thread's tape
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [1, 2])
+def test_conv2d_tape_keeps_no_padded_input(stride, padding):
+    # after forward the tape holds the output and the im2col columns; the
+    # zero-padded copy of the input is freed when conv2d returns
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 8, 16, 16)), requires_grad=True)
+    k = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = conv2d(x, k, stride=stride, padding=padding)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    columns = k.data[0].size * out.data[:, 0].size * out.data.itemsize
+    padded = x.data[:, :, 0, 0].size * (16 + 2 * padding) ** 2 * x.data.itemsize
+    overhead = kept - out.data.nbytes - columns
+    assert 0 <= overhead < 8192 < padded, (overhead, padded)
     backward(out.sum())  # sweep the entry off this thread's tape
 
 

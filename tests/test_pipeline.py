@@ -468,10 +468,12 @@ class TestCli:
         ({"config": {"mode": ["SDA"], "label_budget": 5}}, "config.mode"),
         ({"config": {"mode": "SDA", "label_budget": 5}, "final": {"ap": 0.1, "ap50": 0.2}}, "final.ap75"),
         ({"config": {"mode": "SDA", "label_budget": 5}, "final": []}, "final.ap"),
+        ({"config": {"mode": "SDA", "label_budget": 5},
+          "final": {"ap": -10**400, "ap50": 0.2, "ap75": 0.1}}, "final.ap"),
         (b"not json", "not valid JSON"),
         (b"\xff\xfe", "not valid JSON"),
     ], ids=["array", "unknown-key", "no-label_budget", "label_budget-str", "mode-list",
-            "no-ap75", "final-array", "not-json", "not-utf8"])
+            "no-ap75", "final-array", "ap-beyond-float", "not-json", "not-utf8"])
     def test_malformed_report_named(self, tmp_path, capsys, content, key):
         p = tmp_path / "run_report.json"
         p.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())

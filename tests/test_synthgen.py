@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import _render_ref
 from _box_ref import iou
 from _containerfile import edit_container
+from lirrdet import container
 from lirrdet.lirr import DomainLabel
 from lirrdet.synthgen import (
     Background,
@@ -15,6 +17,7 @@ from lirrdet.synthgen import (
     DatasetError,
     DomainParams,
     RenderError,
+    Sample,
     SceneSpec,
     TargetTexture,
     SOURCE_DOMAIN,
@@ -237,6 +240,20 @@ class TestMakeBenchmark:
         assert all(s.domain is DomainLabel.TARGET for s in splits.target_train_full)
         assert all(s.domain is DomainLabel.TARGET for s in splits.target_test)
 
+    def test_each_split_is_one_float32_buffer(self):
+        cfg = BenchmarkConfig(source_count=6, target_train_small=2,
+                              target_train_full=3, target_test_count=4)
+        splits = make_benchmark(cfg)
+        for split, params in ((splits.source_train, cfg.source), (splits.target_train_full, cfg.target),
+                              (splits.target_test, cfg.target)):
+            buf = split[0].image.base
+            assert buf.flags.c_contiguous and buf.dtype == np.float32 and buf.shape == (len(split), 1, 64, 64)
+            for s in split:
+                assert s.image.base is buf and np.shares_memory(s.image, buf)
+                assert s.image.tobytes() == render_scene(cfg.scene, params, s.image_id, s.domain).image.tobytes()
+        full = splits.target_train_full
+        assert all(s.image.base is full[0].image.base for s in splits.target_train_small)
+
     def test_brightness_gap(self):
         cfg = BenchmarkConfig(source_count=60, target_train_small=10,
                               target_train_full=20, target_test_count=60)
@@ -266,7 +283,46 @@ class TestMakeBenchmark:
         assert parsed["source_count"] == 2000
 
 
+def _stacked_reference(samples, path, config=None):
+    """The file `save_dataset` wrote before it streamed the images: one np.stack block."""
+    annotations = "".join(json.dumps({
+        "image_id": int(s.image_id),
+        "domain": int(s.domain),
+        "boxes": np.asarray(s.gt_boxes, dtype=np.float64).tolist(),
+        "classes": np.asarray(s.gt_classes, dtype=np.int64).tolist(),
+    }) + "\n" for s in samples)
+    header = {"count": len(samples), "image_shape": list(samples[0].image.shape), "config": config or {}}
+    container.write(path, header, {"images": np.stack([s.image for s in samples], dtype="<f4"),
+                                   "annotations": annotations.encode()})
+
+
+def _samples(images):
+    return [Sample(image=im, gt_boxes=np.array([[1.0, 2.0, 5.5, 6.0]] * (i % 3)),
+                   gt_classes=np.ones(i % 3, dtype=np.int64), domain=DomainLabel(i % 2), image_id=7 * i)
+            for i, im in enumerate(images)]
+
+
 class TestSaveLoad:
+    @pytest.mark.parametrize("dtype,count", [("float32", 5), ("float64", 5), (">f4", 5), ("float32", 1)])
+    def test_streamed_images_give_the_stacked_file(self, tmp_path, dtype, count):
+        images = np.random.default_rng(7).random((count, 1, 9, 7)).astype(dtype)
+        samples = _samples(list(images))
+        save_dataset(samples, tmp_path / "streamed.bin", config={"note": dtype})
+        _stacked_reference(samples, tmp_path / "stacked.bin", config={"note": dtype})
+        assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "stacked.bin").read_bytes()
+
+    def test_save_makes_no_copy_of_the_images(self, tmp_path):
+        images = np.random.default_rng(8).random((300, 1, 64, 64), dtype=np.float32)
+        samples = _samples(images)
+        tracemalloc.start()
+        try:
+            save_dataset(samples, tmp_path / "split.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * images.nbytes, peak
+        assert load_dataset(tmp_path / "split.bin").samples[299].image.tobytes() == images[299].tobytes()
+
     def make_small_dataset(self):
         cfg = BenchmarkConfig(source_count=6, target_train_small=2,
                               target_train_full=3, target_test_count=4)
