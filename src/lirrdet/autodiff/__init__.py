@@ -5,7 +5,6 @@ from .tensor import (
     backward,
     no_grad,
     precision,
-    set_default_dtype,
     default_dtype,
     matmul,
 )
@@ -26,7 +25,7 @@ from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 
 __all__ = [
     "Tensor", "ShapeError", "TapeError", "backward", "no_grad",
-    "precision", "set_default_dtype", "default_dtype", "matmul",
+    "precision", "default_dtype", "matmul",
     "conv2d", "global_avg_pool", "bias_add", "softmax_cross_entropy",
     "binary_cross_entropy_logit", "smooth_l1", "grad_reverse", "gather_rows",
     "concat", "Parameter", "Module", "Conv2d", "Linear", "he_normal", "SGD",

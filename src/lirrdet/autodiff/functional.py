@@ -3,13 +3,17 @@
 Every op here builds its output through ``_op`` from ``tensor.py``, as the
 elementwise ops do: forward values are plain numpy, and a backward rule is
 recorded when any input is being tracked.
+
+Each loss has the one reduction the detector uses: ``softmax_cross_entropy``
+and ``smooth_l1`` sum over their rows (the detection loss normalizes by the
+positive count itself), ``binary_cross_entropy_logit`` takes the mean.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _op, _sigmoid
+from .tensor import ShapeError, Tensor, _op
 
 __all__ = [
     "conv2d",
@@ -129,11 +133,8 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _op(x.data + b.data[None, :], (x, b), lambda g: (g, g.sum(axis=0)))
 
 
-def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
-    """Cross entropy of (N, K) logits against integer labels, max-stabilized.
-
-    Returns the mean (default) or sum over the N rows of -log softmax[label].
-    """
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Sum over the N rows of (N, K) logits of -log softmax[label], max-stabilized."""
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy expects (N,K) logits, got {logits.data.shape}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -146,23 +147,29 @@ def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Te
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     per_row = lse - z[np.arange(n), labels]
-    value = per_row.mean() if reduction == "mean" else per_row.sum()
 
     def backward_fn(g):
         soft = np.exp(z)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(n), labels] -= 1.0
-        if reduction == "mean":
-            soft /= n
         return (soft * g,)
 
-    return _op(np.asarray(value, dtype=logits.data.dtype), (logits,), backward_fn)
+    return _op(np.asarray(per_row.sum(), dtype=logits.data.dtype), (logits,), backward_fn)
 
 
-def binary_cross_entropy_logit(logit: Tensor, target, reduction: str = "mean") -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def binary_cross_entropy_logit(logit: Tensor, target) -> Tensor:
     """Binary cross entropy from logits, in the usual stabilized form.
 
-    Targets must be exactly 0 or 1. Value is the mean (default) or sum of
+    Targets must be exactly 0 or 1. Value is the mean of
     max(z,0) - z*t + log(1 + exp(-|z|)).
     """
     target = np.asarray(target, dtype=logit.data.dtype)
@@ -172,38 +179,24 @@ def binary_cross_entropy_logit(logit: Tensor, target, reduction: str = "mean") -
         raise ValueError("binary_cross_entropy_logit targets must be exactly 0 or 1")
     z = logit.data
     per = np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
-    value = per.mean() if reduction == "mean" else per.sum()
 
     def backward_fn(g):
-        d = _sigmoid(z) - target
-        if reduction == "mean":
-            d = d / z.size
-        return (d * g,)
+        return ((_sigmoid(z) - target) / z.size * g,)
 
-    return _op(np.asarray(value, dtype=z.dtype), (logit,), backward_fn)
+    return _op(np.asarray(per.mean(), dtype=z.dtype), (logit,), backward_fn)
 
 
-def smooth_l1(pred: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Huber-style loss: 0.5*e^2 for |e| < 1, |e| - 0.5 otherwise."""
-    tdata = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.data.dtype)
-    if tdata.shape != pred.data.shape:
-        raise ShapeError(f"smooth_l1 shapes differ: {pred.data.shape} vs {tdata.shape}")
-    e = pred.data - tdata
+def smooth_l1(pred: Tensor, target) -> Tensor:
+    """Sum of the Huber-style loss 0.5*e^2 for |e| < 1, |e| - 0.5 otherwise,
+    over e = pred - target; the target is a constant array."""
+    target = np.asarray(target, dtype=pred.data.dtype)
+    if target.shape != pred.data.shape:
+        raise ShapeError(f"smooth_l1 shapes differ: {pred.data.shape} vs {target.shape}")
+    e = pred.data - target
     ae = np.abs(e)
     per = np.where(ae < 1.0, 0.5 * e * e, ae - 0.5)
-    value = per.mean() if reduction == "mean" else per.sum()
-
-    def backward_fn(g):
-        d = np.clip(e, -1.0, 1.0)
-        if reduction == "mean":
-            d = d / e.size
-        dp = d * g
-        if isinstance(target, Tensor):
-            return dp, -dp
-        return (dp,)
-
-    inputs = (pred, target) if isinstance(target, Tensor) else (pred,)
-    return _op(np.asarray(value, dtype=pred.data.dtype), inputs, backward_fn)
+    return _op(np.asarray(per.sum(), dtype=pred.data.dtype), (pred,),
+               lambda g: (np.clip(e, -1.0, 1.0) * g,))
 
 
 def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:

@@ -13,13 +13,14 @@ nothing else holds them, even when a backward rule raises. Tensors of a
 swept graph are no longer tracked, so a second ``backward`` from the same
 loss raises ``TapeError``.
 
-Broadcasting is deliberately restricted to scalar-with-tensor (a size-1
-tensor counts as a scalar) and identical-shape pairs; anything else raises
-``ShapeError``.
+The ops are the ones the detector runs: ``+``, ``-`` and ``*`` (two
+tensors of the same shape, or a tensor and a Python scalar; anything else
+raises ``ShapeError``), ``relu``, ``reshape``, ``transpose`` and
+``matmul``; ``functional.py`` holds the rest.
 
 Precision is a per-thread mode (float32 by default, float64 for
-verification); see ``set_default_dtype`` / ``precision``. Grad mode and the
-tape are per thread as well.
+verification); see ``precision``. Grad mode and the tape are per thread as
+well.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "backward",
     "no_grad",
     "precision",
-    "set_default_dtype",
     "default_dtype",
 ]
 
@@ -66,19 +66,15 @@ def default_dtype() -> np.dtype:
     return _state.dtype
 
 
-def set_default_dtype(dtype) -> None:
-    """Set this thread's tensor dtype ('float32' or 'float64')."""
+@contextmanager
+def precision(dtype):
+    """Temporarily switch this thread's dtype ('float32' or 'float64'),
+    e.g. ``with precision('float64')``."""
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dt}; use float32 or float64")
-    _state.dtype = dt
-
-
-@contextmanager
-def precision(dtype):
-    """Temporarily switch this thread's dtype, e.g. ``with precision('float64')``."""
     old = _state.dtype
-    set_default_dtype(dtype)
+    _state.dtype = dt
     try:
         yield
     finally:
@@ -129,14 +125,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -153,46 +141,14 @@ class Tensor:
     def __sub__(self, other):
         return _binary(self, other, lambda a, b: a - b, lambda g, a, b: (g, -g), "sub")
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         return _binary(self, other, lambda a, b: a * b, lambda g, a, b: (g * b, g * a), "mul")
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ShapeError("tensor/tensor division not supported; multiply by a scalar instead")
-        return self * (1.0 / float(other))
-
-    def __neg__(self):
-        return _unary(self, lambda a: -a, lambda g, a, out: -g)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- elementwise functions --------------------------------------------------
-
     def relu(self) -> "Tensor":
-        return _unary(self, lambda a: np.maximum(a, 0.0), lambda g, a, out: g * (a > 0))
-
-    def sigmoid(self) -> "Tensor":
-        return _unary(self, _sigmoid, lambda g, a, out: g * out * (1.0 - out))
-
-    def log(self) -> "Tensor":
-        return _unary(self, np.log, lambda g, a, out: g / a)
-
-    def exp(self) -> "Tensor":
-        return _unary(self, np.exp, lambda g, a, out: g * out)
-
-    # -- reductions ---------------------------------------------------------------
-
-    def sum(self, axis=None) -> "Tensor":
-        return _reduce(self, axis, mean=False)
-
-    def mean(self, axis=None) -> "Tensor":
-        return _reduce(self, axis, mean=True)
+        a = self.data
+        return _op(np.maximum(a, 0.0), (self,), lambda g: (g * (a > 0),))
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -207,15 +163,6 @@ class Tensor:
             axes = tuple(axes[0])
         inv = np.argsort(axes)
         return _op(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
@@ -235,69 +182,15 @@ def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _unary(x: Tensor, fwd, bwd) -> Tensor:
-    out_data = fwd(x.data)
-    return _op(out_data, (x,), lambda g: (bwd(g, x.data, out_data),))
-
-
-def _scalar_operands(x: np.ndarray, y: np.ndarray):
-    """Drop the dimensions of a size-1 operand paired with a larger one, so
-    it acts as a scalar and the result takes the larger operand's shape."""
-    if x.shape == y.shape:
-        return x, y
-    if x.size != 1:
-        return x, y.reshape(())
-    if y.size != 1:
-        return x.reshape(()), y
-    return x, y
-
-
 def _binary(a: Tensor, b, fwd, bwd, name: str) -> Tensor:
-    """Binary elementwise op; b may be a Tensor or a python scalar.
-
-    A size-1 tensor operand acts as a scalar.
-    """
+    """Elementwise op of a tensor and a same-shape tensor or a Python scalar."""
     if isinstance(b, Tensor):
-        if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-            raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} are not compatible "
-                             "(only same-shape or scalar broadcasting is supported)")
-
-        def backward_fn(g):
-            ga, gb = bwd(g, *_scalar_operands(a.data, b.data))
-            return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-        return _op(fwd(*_scalar_operands(a.data, b.data)), (a, b), backward_fn)
+        if a.data.shape != b.data.shape:
+            raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} differ "
+                             "(an operand is a same-shape tensor or a Python scalar)")
+        return _op(fwd(a.data, b.data), (a, b), lambda g: bwd(g, a.data, b.data))
     s = float(b)
-
-    def backward_scalar(g):
-        ga, _ = bwd(g, a.data, s)
-        return (ga,)
-
-    return _op(fwd(a.data, s), (a,), backward_scalar)
-
-
-def _unbroadcast(g, shape) -> np.ndarray:
-    """Sum a gradient down to `shape`; only a size-1 operand can differ."""
-    g = np.asarray(g)
-    return g if g.shape == tuple(shape) else g.sum().reshape(shape)
-
-
-def _reduce(x: Tensor, axis, mean: bool) -> Tensor:
-    """Sum or mean over `axis` (an int, a tuple of ints, or None for all)."""
-    if axis is None:
-        axes = tuple(range(x.data.ndim))
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    count = int(np.prod([x.data.shape[a] for a in axes]))
-    data = x.data.mean(axis=axes) if mean else x.data.sum(axis=axes)
-    src_shape = x.data.shape
-
-    def backward_axis(g):
-        ge = np.expand_dims(g, axes)
-        gb = np.broadcast_to(ge, src_shape)
-        return ((gb / count).astype(x.data.dtype, copy=False) if mean else gb.astype(x.data.dtype, copy=False),)
-
-    return _op(np.asarray(data), (x,), backward_axis)
+    return _op(fwd(a.data, s), (a,), lambda g: bwd(g, a.data, s)[:1])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

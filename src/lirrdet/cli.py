@@ -19,7 +19,7 @@ from pathlib import Path
 from .autodiff import CheckpointError
 from .container import atomic_open
 from .pipeline import ExperimentConfig, Mode, RunReport, evaluate_checkpoint, run_experiment
-from .synthgen import (BenchmarkConfig, DatasetError, benchmark_config_from_dict,
+from .synthgen import (BenchmarkConfig, DatasetError, RenderError, benchmark_config_from_dict,
                        make_benchmark, save_dataset)
 
 _SPLIT_FILES = ("source_train.bin", "target_train_small.bin",
@@ -177,6 +177,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, RuntimeError, DatasetError, CheckpointError) as e:
+    except (FileNotFoundError, ValueError, RuntimeError, DatasetError, CheckpointError,
+            RenderError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -40,7 +40,6 @@ def detection_loss_terms(cls_logits: Tensor, box_offsets: Tensor, match: MatchRe
     sampled = np.concatenate([pos_idx, neg_sampled])
     labels = np.concatenate([match.class_targets[pos_idx],
                              np.zeros(len(neg_sampled), dtype=np.int64)])
-    cls_loss = softmax_cross_entropy(gather_rows(cls_logits, sampled), labels, reduction="sum")
-    loc_loss = smooth_l1(gather_rows(box_offsets, pos_idx),
-                         match.box_targets[pos_idx], reduction="sum")
+    cls_loss = softmax_cross_entropy(gather_rows(cls_logits, sampled), labels)
+    loc_loss = smooth_l1(gather_rows(box_offsets, pos_idx), match.box_targets[pos_idx])
     return cls_loss, loc_loss, npos

@@ -4,12 +4,15 @@ A field's default decides what JSON fits it: an object fills a nested
 dataclass, an array fills a tuple (element by element, against the
 default's first element), a string fills a string or string enum, and a
 number fills a number field. A bool is not a number, null fits nothing,
-and an int field takes only a JSON integer. Errors are ``ValueError``
+``NaN``, ``Infinity`` (which Python's JSON parser reads) and an integer no
+float can hold fit no number field, and an int field takes only a JSON
+integer. Errors are ``ValueError``
 naming the dotted key, such as ``scene.foo`` or ``steps``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 
 
@@ -42,5 +45,7 @@ def _from_json(value, default, key: str):
         if isinstance(default, kind):
             if not isinstance(value, fits) or isinstance(value, bool) != (kind is bool):
                 raise ValueError(f"config key {key} must be {name}, got {value!r}")
+            if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
+                raise ValueError(f"config key {key} must be a finite number, got {value!r}")
             break
     return value

@@ -118,27 +118,20 @@ class DomainClassifier(Module):
         return self.fc2(self.fc1(pooled).relu())
 
 
-def _pool(feat: Tensor) -> Tensor:
-    if feat.data.ndim == 4:
-        return global_avg_pool(feat)
-    if feat.data.ndim == 2:
-        return feat
-    raise ValueError(f"expected (N,C,H,W) or (N,C) features, got shape {feat.data.shape}")
-
-
 def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
              grl_lambda: float = 1.0) -> Tensor:
     """Alignment term. Value: E_src[log sigma] + E_tgt[log(1 - sigma)].
 
-    Gradients descend the underlying cross entropy for the classifier and
-    reverse (scaled by grl_lambda) into whatever produced the features.
+    The features are (N, C, H, W) maps, pooled over space. Gradients descend
+    the underlying cross entropy for the classifier and reverse (scaled by
+    grl_lambda) into whatever produced the features.
 
     The classifier's sigmoid reads as "probability the features came from
     the source batch" (cross-entropy target 1 for source). That is a local
     convention of this term only; DomainLabel's integer values index the
     per-domain heads and play no role here.
     """
-    hs, ht = _pool(feat_src), _pool(feat_tgt)
+    hs, ht = global_avg_pool(feat_src), global_avg_pool(feat_tgt)
     if hs.data.shape[0] == 0 or ht.data.shape[0] == 0:
         raise ValueError("rep_loss: empty domain batch")
     zs = classifier(grad_reverse(hs, grl_lambda))
@@ -208,20 +201,15 @@ def _risk_sum(feats, batch, matches, model, by_domain: bool):
     return total, cls_val, loc_val
 
 
-def _mean_risk(batch, model, by_domain: bool, name: str) -> Tensor:
-    """Stack a batch, match its anchors, sum its risk, and average."""
-    batch = list(batch)
-    if not batch:
-        raise ValueError(f"{name}: empty batch")
-    _check_labeled(batch)
-    feats = model.features(_stack_images(batch))
-    total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, by_domain)
-    return total * (1.0 / len(batch))
-
-
 def invariant_risk(batch, model) -> Tensor:
     """Mean detection loss of the shared head over a (possibly mixed) batch."""
-    return _mean_risk(batch, model, False, "invariant_risk")
+    batch = list(batch)
+    if not batch:
+        raise ValueError("invariant_risk: empty batch")
+    _check_labeled(batch)
+    feats = model.features(_stack_images(batch))
+    total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, False)
+    return total * (1.0 / len(batch))
 
 
 def _graph_unless_zero(weight: float):

@@ -457,8 +457,13 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"{path}: annotation block is not UTF-8: {e}") from e
     if len(lines) != count:
         raise DatasetError(f"{path}: annotation count {len(lines)} does not match header count {count}")
-    return Dataset(samples=[_sample(path, i, line, images[i]) for i, line in enumerate(lines)],
-                   config=config)
+    samples = [_sample(path, i, line, images[i]) for i, line in enumerate(lines)]
+    first = {}
+    for i, sample in enumerate(samples):
+        if first.setdefault(sample.image_id, i) != i:  # results are keyed by image_id
+            raise DatasetError(f"{path}: annotation record {i}: image_id {sample.image_id} "
+                               f"repeats record {first[sample.image_id]}")
+    return Dataset(samples=samples, config=config)
 
 
 # annotation key -> (Sample field, conversion)

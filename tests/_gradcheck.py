@@ -2,11 +2,21 @@
 
 The oracle never touches the tape: it re-evaluates the forward function on
 perturbed raw arrays, so it stays independent of the code path it checks.
+``dot`` reduces a tensor to the scalar a gradient check differentiates.
 """
 
 import numpy as np
 
+from lirrdet.autodiff import Tensor, matmul
+
 H = 1e-5
+
+
+def dot(t, p=None):
+    """The tracked scalar <t, p>: one matmul of t, flattened, with a fixed
+    array p of t's shape (all ones, which sums t, when p is None)."""
+    p = np.ones(t.data.shape) if p is None else np.asarray(p)
+    return matmul(t.reshape(1, -1), Tensor(p.reshape(-1, 1))).reshape(())
 
 
 def finite_diff_grads(fn, arrays, h=H):

@@ -14,7 +14,10 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
+import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
@@ -54,11 +57,13 @@ def _paths(node, depth, prefix=()):
 
 
 def _near(value):
-    """Values of the same JSON type as `value`, which get past type checks."""
+    """Values of the same JSON type as `value`, which get past type checks;
+    numbers include NaN and Infinity, which a JSON parser reads."""
     if isinstance(value, bool):
         return st.booleans()
     if isinstance(value, (int, float)):
-        return st.integers(-2, 10) | st.floats(-10.0, 10.0)
+        return st.integers(-2, 10) | st.floats(-10.0, 10.0) \
+            | st.sampled_from([math.nan, math.inf, -math.inf])
     return st.text(max_size=6) if isinstance(value, str) else st.nothing()
 
 
@@ -90,14 +95,15 @@ def _contents(command):
 
 
 def _typed_like(value, default) -> bool:
-    """Whether `value` has the JSON types of `default`; an integer may fill a float."""
+    """Whether `value` has the JSON types of `default`; an integer may fill a
+    float, and a number there is finite as a float."""
     if isinstance(default, dict):
         return isinstance(value, dict) and value.keys() == default.keys() \
             and all(_typed_like(value[k], default[k]) for k in default)
     if isinstance(default, list):
         return isinstance(value, list) and all(_typed_like(v, default[0]) for v in value)
     if isinstance(default, float):
-        return type(value) in (int, float)
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     return type(value) is type(default)
 
 
@@ -177,3 +183,32 @@ def test_any_file_works_or_prints_one_error_line(stubs, tmp_path_factory, comman
             assert code == 1 and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
     check()
+
+
+def test_gen_scale_range_too_small_is_one_error_line(tmp_path):
+    # the real make_benchmark: no polygon of this scale has enough area
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"source_count": 1, "target_train_small": 1, "target_train_full": 1,
+                                "target_test_count": 1, "scene": {"scale_range": [0.001, 0.001]}}))
+    code, err = _run(_argv("gen", path, tmp_path))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "scale_range" in err
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("train", {**_EXPERIMENT, "lr": float("nan")}, "lr"),
+    ("train", {**_EXPERIMENT, "lambda_rep": float("inf")}, "lambda_rep"),
+    ("train", {**_EXPERIMENT, "lr": 10**400}, "lr"),
+    ("gen", {**_BENCHMARK, "source": {**_BENCHMARK["source"], "noise_sigma": float("nan")}},
+     "source.noise_sigma"),
+    ("gen", {**_BENCHMARK, "scene": {**_BENCHMARK["scene"], "scale_range": [0.1, float("inf")]}},
+     r"scene.scale_range\[1\]"),
+], ids=["lr-nan", "lambda_rep-inf", "lr-huge-int", "noise_sigma-nan", "scale_range-inf"])
+def test_non_finite_number_names_its_key(stubs, tmp_path, command, doc, key):
+    # Python's JSON parser reads NaN, Infinity and integers no float can hold
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run(_argv(command, path, tmp_path))
+    assert code == 1 and err.count("\n") == 1, err
+    assert re.search(f"config key {key} must be a finite number", err), err
+    assert stubs == []

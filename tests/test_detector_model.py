@@ -155,7 +155,7 @@ class TestDetectionLoss:
     def test_matches_rederivation(self, seed):
         logits, offsets, match = self._random_case(seed)
         with precision("float64"):
-            got = detection_loss(Tensor(logits), Tensor(offsets), match).item()
+            got = float(detection_loss(Tensor(logits), Tensor(offsets), match).data)
         want = ref_detection_loss(logits, offsets, match)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -163,7 +163,7 @@ class TestDetectionLoss:
         logits, offsets, match = self._random_case(99, with_gt=False)
         assert match.num_positive == 0
         with precision("float64"):
-            got = detection_loss(Tensor(logits), Tensor(offsets), match).item()
+            got = float(detection_loss(Tensor(logits), Tensor(offsets), match).data)
         want = ref_detection_loss(logits, offsets, match)
         assert got == pytest.approx(want, rel=1e-9)
         # only 3 * max(0, 1) = 3 negatives enter
@@ -178,7 +178,7 @@ class TestDetectionLoss:
         perfect_logits[pos, 0] = -20.0
         perfect_logits[pos, 1] = 20.0
         perfect_offsets = match.box_targets.copy()
-        loss = detection_loss(Tensor(perfect_logits), Tensor(perfect_offsets), match).item()
+        loss = float(detection_loss(Tensor(perfect_logits), Tensor(perfect_offsets), match).data)
         assert loss < 1e-3
 
     def test_loss_is_differentiable(self):
@@ -198,7 +198,7 @@ class TestDetectionLoss:
         tl = Tensor(logits, requires_grad=True)
         to = Tensor(offsets, requires_grad=True)
         loss = detection_loss(tl, to, match)
-        assert loss.item() == 0.0
+        assert float(loss.data) == 0.0
         backward(loss)
         assert np.array_equal(tl.grad, np.zeros_like(logits))
         assert np.array_equal(to.grad, np.zeros_like(offsets))
@@ -283,7 +283,7 @@ class TestForwardDetect:
                                   loc.reshape(len(m.anchors), 4), match)
             backward(loss)
             opt.step()
-        assert loss.item() < 1e-3  # saturated-perfect limit
+        assert float(loss.data) < 1e-3  # saturated-perfect limit
         dets = forward_detect(m, img)
         assert dets, "saturated model produced no detections"
         assert iou(dets[0].bbox, gt[0]) > 0.9

@@ -16,8 +16,10 @@ from lirrdet.autodiff import (
 )
 from lirrdet.detector import match_anchors
 from lirrdet.lirr import (
-    _mean_risk,
+    _matches,
     _objective,
+    _risk_sum,
+    _stack_images,
     DomainClassifier,
     DomainLabel,
     LirrConfig,
@@ -33,7 +35,15 @@ from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_det
 
 def domain_risk(batch, model):
     """Mean detection loss with each sample scored by its domain's own head."""
-    return _mean_risk(batch, model, True, "domain_risk")
+    feats = model.features(_stack_images(batch))
+    total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, True)
+    return total * (1.0 / len(batch))
+
+
+def maps(features):
+    """(N, C) features as the (N, C, 1, 1) maps rep_loss pools, exactly."""
+    t = features if isinstance(features, Tensor) else Tensor(features)
+    return t.reshape(*t.data.shape, 1, 1)
 
 
 def lirr_loss(batch_src, batch_tgt, model, classifier, cfg):
@@ -93,8 +103,8 @@ class TestRepLoss:
         # an uninformative classifier scores -2 log 2 regardless of input
         with precision("float64"):
             c = zeroed_classifier(4)
-            val = rep_loss(Tensor(np.random.default_rng(0).normal(size=(3, 4))),
-                           Tensor(np.random.default_rng(1).normal(size=(5, 4))), c)
+            val = rep_loss(maps(np.random.default_rng(0).normal(size=(3, 4))),
+                           maps(np.random.default_rng(1).normal(size=(5, 4))), c)
         assert abs(float(val.data) - (-2.0 * np.log(2.0))) < 1e-12
 
     def test_separating_classifier_near_zero(self):
@@ -104,8 +114,8 @@ class TestRepLoss:
             c.fc1.weight.data[1, 1] = 1.0
             c.fc2.weight.data[0, 0] = 30.0
             c.fc2.weight.data[1, 0] = -30.0
-            src = Tensor(np.tile([5.0, 0.0], (3, 1)))
-            tgt = Tensor(np.tile([0.0, 5.0], (3, 1)))
+            src = maps(np.tile([5.0, 0.0], (3, 1)))
+            tgt = maps(np.tile([0.0, 5.0], (3, 1)))
             val = float(rep_loss(src, tgt, c).data)
         assert -1e-8 < val <= 0.0
 
@@ -113,16 +123,16 @@ class TestRepLoss:
         rng = np.random.default_rng(7)
         c = DomainClassifier(6, rng=rng)
         for _ in range(10):
-            v = rep_loss(Tensor(rng.normal(size=(4, 6))),
-                         Tensor(rng.normal(size=(4, 6))), c)
+            v = rep_loss(maps(rng.normal(size=(4, 6))),
+                         maps(rng.normal(size=(4, 6))), c)
             assert float(v.data) <= 1e-7
 
     def test_empty_batch_rejected(self):
         c = zeroed_classifier(3)
         with pytest.raises(ValueError, match="empty"):
-            rep_loss(Tensor(np.zeros((0, 3))), Tensor(np.zeros((2, 3))), c)
+            rep_loss(maps(np.zeros((0, 3))), maps(np.zeros((2, 3))), c)
         with pytest.raises(ValueError, match="empty"):
-            rep_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((0, 3))), c)
+            rep_loss(maps(np.zeros((2, 3))), maps(np.zeros((0, 3))), c)
 
     def test_4d_input_is_pooled(self):
         with precision("float64"):
@@ -131,8 +141,8 @@ class TestRepLoss:
             fs = rng.normal(size=(2, 5, 4, 4))
             ft = rng.normal(size=(2, 5, 4, 4))
             a = float(rep_loss(Tensor(fs), Tensor(ft), c).data)
-            b = float(rep_loss(global_avg_pool(Tensor(fs)),
-                               global_avg_pool(Tensor(ft)), c).data)
+            b = float(rep_loss(maps(global_avg_pool(Tensor(fs))),
+                               maps(global_avg_pool(Tensor(ft))), c).data)
         assert a == b
 
     @pytest.mark.parametrize("lam", [1.0, 0.7])
@@ -152,7 +162,7 @@ class TestRepLoss:
 
             w_a = Tensor(w_init.copy(), requires_grad=True)
             fs, ft = forward(w_a)
-            backward(rep_loss(fs, ft, c, grl_lambda=lam))
+            backward(rep_loss(maps(fs), maps(ft), c, grl_lambda=lam))
             c_grads_a = [p.grad.copy() for p in c.parameters()]
 
             c.zero_grad()
@@ -310,7 +320,7 @@ class TestLirrLoss:
         # risk part 3.5 plus default-weighted uninformative alignment term
         with precision("float64"):
             c = zeroed_classifier(4)
-            rep = rep_loss(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), c)
+            rep = rep_loss(maps(np.zeros((2, 4))), maps(np.zeros((2, 4))), c)
             risk = risk_loss(Tensor(np.float64(2.0)), Tensor(np.float64(0.5)), 1.0)
             total = float((risk + rep * 0.1).data)
         assert total == pytest.approx(3.5 - 0.2 * np.log(2.0), abs=1e-9)

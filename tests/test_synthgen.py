@@ -451,8 +451,9 @@ class TestSaveLoad:
         (lambda rec: {**rec, "classes": []}, "record 1: 0 'classes' for"),
         (lambda rec: b"\xff", "annotation block is not UTF-8"),
         (lambda rec: b"[" * 100_000, "record 1 is not valid JSON"),
+        (lambda rec: {**rec, "image_id": 0}, "record 1: image_id 0 repeats record 0"),
     ], ids=["array", "bad-json", "no-boxes", "no-image_id", "domain-7", "boxes-3", "image_id-str",
-            "domain-true", "classes-count", "not-utf8", "too-deep"])
+            "domain-true", "classes-count", "not-utf8", "too-deep", "image_id-repeated"])
     def test_bad_annotation_record(self, tmp_path, edit, match):
         import json
         samples, _ = self.make_small_dataset()
