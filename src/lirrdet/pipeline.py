@@ -108,6 +108,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lr < 0 or not 0 <= self.momentum < 1:
             raise ValueError("lr must be >= 0 and momentum in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.model_spec  # ModelSpec rejects bad widths and image sizes
         self.lirr_config  # LirrConfig rejects negative lambdas
         needed = ["target_test_path"] + [sp.path_field for sp in _MODE_SPLITS[self.mode]]

@@ -11,14 +11,27 @@ Every sample is a pure function of (scene spec, domain params, index), so
 datasets are reproducible byte for byte. Ground-truth boxes are the tight
 pixel bounds of the rendered silhouette, computed before noise.
 
-Stars and clutter blobs are drawn only inside their own window, the
-pixels that meet the square around the disc where they can show. A blob
-only raises pixels within its radius r. A star of peak b and width r is
+Scenes are rendered in chunks of consecutive indices (`_CHUNK_PX` pixels
+at a time). Per scene, Python runs only what follows that scene's own
+generator, in the order one scene alone draws it: the polygon attempts, the
+texture draws, one `rng.random((n, 4))` block for its n stars or blobs (a
+uniform is lo + (hi - lo) * random() either way) and its standard normal
+noise field; then the silhouette's inside test, on its own bounding box.
+The rest runs once per chunk on (chunk, H, W) arrays: polygon geometry,
+backgrounds, textures, illumination, composite, noise scale and add, cast
+and tight boxes. The bytes equal a scene rendered alone because every pixel goes
+through the same float operations: the vertices are rotated with one
+stacked matmul, the same BLAS product per polygon as a single one; the
+polygon area keeps its per-polygon `np.dot`, as a batched sum rounds
+differently; and the stars and blobs of a chunk meet the background in one
+`np.maximum.at`, whose result does not depend on order.
+
+Each star or blob is stamped on a window of pixels around it. A blob only
+raises pixels within its radius r. A star of peak b and width r is
 b * exp(-d^2 / 2r^2), which is below the starfield's initial fill `floor`
 past d = r * sqrt(2 ln(b / floor)); the background is at least `floor`
-everywhere, so there the max keeps it. Outside its window a star or blob
-therefore cannot beat the background, and the image equals a full-frame
-render; pixels inside go through the same float operations.
+everywhere, so there the max keeps it. A window that holds the square of
+that half-side around the disc therefore gives the full-frame image.
 """
 
 from __future__ import annotations
@@ -40,6 +53,9 @@ from .lirr import DomainLabel
 _SS = 4
 _MIN_AREA = 4.0
 _MAX_RETRIES = 10
+# pixels rendered at once: 4 images at 64 px. The process keeps the memory of set-up's
+# peak into training, so a chunk's float64 planes are held to 128 KB each.
+_CHUNK_PX = 4 * 64 * 64
 
 
 class DatasetError(Exception):
@@ -96,6 +112,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.size < 16:
             raise ValueError(f"size must be >= 16, got {self.size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("polygon_sides", "scale_range", "position_range", "rotation_range"):
             pair = getattr(self, name)
             if len(pair) != 2 or pair[1] < pair[0]:
@@ -125,45 +143,61 @@ class RenderParts(NamedTuple):
     sample: Sample
 
 
-def _unit_polygon(n: int, phase: float) -> np.ndarray:
-    ang = phase + 2.0 * math.pi * np.arange(n) / n
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
 def _cross_sum(verts: np.ndarray) -> float:
     """Twice the signed area: positive for counter-clockwise vertices."""
     x, y = verts[:, 0], verts[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return float(np.dot(x, np.concatenate((y[1:], y[:1]))) - np.dot(y, np.concatenate((x[1:], x[:1]))))
 
 
-def _sample_polygon(rng, spec: SceneSpec) -> np.ndarray:
-    """Stretched rotated regular polygon, centered then clamped into frame.
+def _uniform(u, lo, hi):
+    """rng.uniform(lo, hi) from the rng.random() draws u, as numpy computes it."""
+    lo = np.asarray(lo, dtype=float)
+    return lo + (np.asarray(hi, dtype=float) - lo) * u
+
+
+def _polygons(rngs, spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each generator's stretched rotated regular polygon, centred then clamped
+    into the frame: (B, N, 2) vertices, of which the first n (B,) are used.
 
     The family is affine images of regular polygons, so convexity is free.
-    """
-    size = spec.size
+    Each generator draws its attempts itself; the geometry of every pending
+    attempt runs at once, and an attempt that fails is drawn again."""
+    size, top = spec.size, spec.polygon_sides[1]
+    (s0, s1), (t0, t1), (p0, p1) = spec.scale_range, spec.rotation_range, spec.position_range
+    lo, hi = [0.0, s0, s0, t0, p0, p0], [2.0 * math.pi, s1, s1, t1, p1, p1]
+    verts, n = np.zeros((len(rngs), top, 2)), np.zeros(len(rngs), dtype=int)
+    misses = np.zeros((len(rngs), 2), dtype=int)  # attempts off the frame, attempts too small
+    todo = np.arange(len(rngs))
     for _ in range(_MAX_RETRIES):
-        n = int(rng.integers(spec.polygon_sides[0], spec.polygon_sides[1] + 1))
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        rx, ry = size * rng.uniform(*spec.scale_range, size=2)
-        theta = rng.uniform(*spec.rotation_range)
-        base = _unit_polygon(n, phase) * [rx, ry]
-        rot = np.array([[math.cos(theta), -math.sin(theta)],
-                        [math.sin(theta), math.cos(theta)]])
-        verts = base @ rot.T
-        cx = rng.uniform(*spec.position_range) * size
-        cy = rng.uniform(*spec.position_range) * size
+        draws = np.empty((len(todo), 7))
+        for row, i in zip(draws, todo):
+            row[0] = rngs[i].integers(spec.polygon_sides[0], top + 1)
+            rngs[i].random(out=row[1:])
+        k = draws[:, 0].astype(int)
+        phase, rx, ry, theta, cx, cy = _uniform(draws[:, 1:], lo, hi).T
+        pad = (np.arange(top) >= k[:, None])[..., None]
+        ang = phase[:, None] + 2.0 * math.pi * np.arange(top) / k[:, None]
+        unit = np.stack([np.cos(ang), np.sin(ang)], axis=2)
+        base = np.where(pad, 0.0, unit * (size * np.stack([rx, ry], axis=1))[:, None])
+        c, s = np.cos(theta), np.sin(theta)
+        v = base @ np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)  # one BLAS product per polygon
         # clamp the center so the silhouette sits fully inside the frame
-        lo = 1.0 - verts.min(axis=0)
-        hi = (size - 1.0) - verts.max(axis=0)
-        if np.any(lo > hi):
-            continue
-        center = np.clip([cx, cy], lo, hi)
-        verts = verts + center
-        if 0.5 * abs(_cross_sum(verts)) >= _MIN_AREA:
-            return verts
-    raise RenderError(f"degenerate polygon after {_MAX_RETRIES} attempts "
-                      f"(scale_range {spec.scale_range} too small for area {_MIN_AREA})")
+        low = 1.0 - np.where(pad, np.inf, v).min(axis=1)
+        high = (size - 1.0) - np.where(pad, -np.inf, v).max(axis=1)
+        fits = (low <= high).all(axis=1)
+        v += np.clip(np.stack([cx, cy], axis=1) * size, low, high)[:, None]
+        ok = fits.copy()
+        for j in np.flatnonzero(fits):
+            ok[j] = 0.5 * abs(_cross_sum(v[j, :k[j]])) >= _MIN_AREA
+        misses[todo] += np.stack([~fits, fits & ~ok], axis=1)
+        verts[todo[ok]], n[todo[ok]] = v[ok], k[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            return verts, n
+    why = zip(misses[todo[0]], (f"did not fit the {size}-px frame",
+                                f"had a degenerate area below {_MIN_AREA}"))
+    raise RenderError(f"no polygon after {_MAX_RETRIES} attempts with scale_range {spec.scale_range}: "
+                      + ", ".join(f"{m} {text}" for m, text in why if m))
 
 
 def _coverage_map(verts: np.ndarray, size: int) -> np.ndarray:
@@ -175,10 +209,9 @@ def _coverage_map(verts: np.ndarray, size: int) -> np.ndarray:
     monotone in x, so each edge keeps a prefix (by >= ay) or a suffix
     (by < ay) of every subsample row, and a row's inside set is one run.
     """
-    c0 = max(int(math.floor(verts[:, 0].min())) - 1, 0)
-    r0 = max(int(math.floor(verts[:, 1].min())) - 1, 0)
-    c1 = min(int(math.ceil(verts[:, 0].max())) + 1, size - 1)
-    r1 = min(int(math.ceil(verts[:, 1].max())) + 1, size - 1)
+    (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+    c0, r0 = max(math.floor(x0) - 1, 0), max(math.floor(y0) - 1, 0)
+    c1, r1 = min(math.ceil(x1) + 1, size - 1), min(math.ceil(y1) + 1, size - 1)
     w, h = c1 - c0 + 1, r1 - r0 + 1
 
     offs = (np.arange(_SS) + 0.5) / _SS
@@ -187,14 +220,14 @@ def _coverage_map(verts: np.ndarray, size: int) -> np.ndarray:
 
     if _cross_sum(verts) < 0:
         verts = verts[::-1]
+    (ax, ay), (dx, dy) = verts.T, (np.concatenate((verts[1:], verts[:1])) - verts).T
+    lefts, rights = dx[:, None] * (ys - ay[:, None]), dy[:, None] * (xs - ax[:, None])
     lo, hi = np.zeros(len(ys), dtype=np.intp), np.full(len(ys), len(xs))
-    pts = verts.tolist()
-    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-        left, right = (bx - ax) * (ys - ay), (by - ay) * (xs - ax)
-        if by >= ay:
-            hi = np.minimum(hi, right.searchsorted(left, side="right"))
+    for left, right, up in zip(lefts, rights, dy >= 0):
+        if up:
+            np.minimum(hi, right.searchsorted(left, side="right"), out=hi)
         else:
-            lo = np.maximum(lo, len(xs) - right[::-1].searchsorted(left, side="right"))
+            np.maximum(lo, len(xs) - right[::-1].searchsorted(left, side="right"), out=lo)
 
     # subsamples of each row's run [lo, hi) that fall in each pixel column
     starts = np.arange(0, len(xs), _SS)
@@ -212,63 +245,60 @@ def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
     return cols, rows
 
 
-def _window(x: float, y: float, radius: float) -> tuple[slice, slice]:
-    """(rows, cols) slices of the pixels that meet the square of half-side
-    `radius` centred on (x, y), for x, y >= 0. Every pixel centre left out
-    is at least radius + 1/2 from (x, y) along one axis."""
-    return (slice(max(math.floor(y - radius), 0), math.floor(y + radius) + 1),
-            slice(max(math.floor(x - radius), 0), math.floor(x + radius) + 1))
-
-
-def _texture_map(rng, verts, params: DomainParams, size: int) -> np.ndarray:
-    """Per-pixel target brightness; either one value or brightness bands."""
+def _textures(rngs, verts, n, params: DomainParams, size: int) -> np.ndarray:
+    """Per-pixel target brightness (B, H, W), or (B, 1, 1) for one value per target."""
     if params.target_texture is TargetTexture.FLAT:
-        return np.full((size, size), rng.uniform(0.80, 0.95))
-    n_panels = int(rng.integers(2, 5))
-    shades = rng.uniform(0.75, 0.95, size=n_panels)
-    axis_ang = rng.uniform(0.0, 2.0 * math.pi)
-    u = np.array([math.cos(axis_ang), math.sin(axis_ang)])
-    proj_v = verts @ u
-    lo, hi = proj_v.min(), proj_v.max()
+        return np.array([rng.uniform(0.80, 0.95) for rng in rngs])[:, None, None]
+    shades, panel = np.zeros((len(rngs), 4)), np.zeros((len(rngs), 5, 1, 1))  # (panels, ux, uy, lo, span)
+    for rng, v, k, s, p in zip(rngs, verts, n, shades, panel[..., 0, 0]):
+        p[0] = rng.integers(2, 5)
+        s[:int(p[0])] = rng.uniform(0.75, 0.95, size=int(p[0]))
+        axis_ang = rng.uniform(0.0, 2.0 * math.pi)
+        p[1:3] = math.cos(axis_ang), math.sin(axis_ang)
+        proj_v = v[:k] @ p[1:3]
+        p[3], p[4] = proj_v.min(), max(proj_v.max() - proj_v.min(), 1e-9)
+    m, ux, uy, lo, span = panel.swapaxes(0, 1)
     cols, rows = _grid(size)
-    t = ((cols * u[0] + rows * u[1]) - lo) / max(hi - lo, 1e-9)
-    bands = np.clip((t * n_panels).astype(int), 0, n_panels - 1)
-    return shades[bands]
+    t = ((cols * ux + rows * uy) - lo) / span
+    bands = np.clip((t * m).astype(int), 0, m.astype(int) - 1)
+    return np.take_along_axis(shades, bands.reshape(len(rngs), -1), axis=1).reshape(bands.shape)
 
 
-def _render_background(rng, params: DomainParams, size: int) -> np.ndarray:
-    xs = np.arange(size) + 0.5
-    if params.background is Background.STARFIELD:
-        floor = rng.uniform(0.02, 0.06)
-        bg = np.full((size, size), floor)
-        for _ in range(rng.poisson(35)):
-            sx, sy = rng.uniform(0, size, size=2)
-            b = rng.uniform(0.35, 0.65)
-            r = rng.uniform(0.6, 1.4)
-            rows, cols = _window(sx, sy, r * math.sqrt(2.0 * math.log(b / floor)))
-            d2 = (xs[cols] - sx) ** 2 + ((xs[rows] - sy) ** 2)[:, None]
-            win = bg[rows, cols]
-            np.maximum(win, b * np.exp(-d2 / (2.0 * r * r)), out=win)
+def _backgrounds(rngs, params: DomainParams, size: int) -> np.ndarray:
+    """(B, H, W) backgrounds; every star or blob of the chunk is stamped on a
+    window as wide as the chunk's widest, all in one np.maximum.at."""
+    count = len(rngs)
+    if params.background is Background.EARTH_GRADIENT:
+        # smooth ramp across the frame in a random direction
+        ang, lo, hi = _uniform(np.array([rng.random(3) for rng in rngs]),
+                               [0.0, 0.05, 0.30], [2.0 * math.pi, 0.20, 0.45]).T[..., None, None]
+        cols, rows = _grid(size)
+        t = cols * np.cos(ang) + rows * np.sin(ang)
+        t0 = t.min(axis=(1, 2), keepdims=True)
+        t = (t - t0) / np.maximum(t.max(axis=(1, 2), keepdims=True) - t0, 1e-9)
+        return lo + (hi - lo) * t
+    star = params.background is Background.STARFIELD
+    fill, spots = np.empty(count), []
+    for i, rng in enumerate(rngs):
+        fill[i] = rng.uniform(0.02, 0.06) if star else rng.uniform(0.08, 0.15)
+        spots.append(rng.random((rng.poisson(35) if star else round(params.clutter_density * 25), 4)))
+    bg = np.repeat(fill, size * size).reshape(count, size, size)
+    owner = np.repeat(np.arange(count), [len(s) for s in spots])
+    x, y, b, r = _uniform(np.concatenate(spots), [0, 0, 0.35, 0.6] if star else [0, 0, 0.15, 2.0],
+                          [size, size, 0.65, 1.4] if star else [size, size, 0.50, 6.0]).T
+    if not len(x):
         return bg
-    if params.background is Background.CLUTTER:
-        bg = np.full((size, size), rng.uniform(0.08, 0.15))
-        for _ in range(int(round(params.clutter_density * 25))):
-            bx, by = rng.uniform(0, size, size=2)
-            b = rng.uniform(0.15, 0.50)
-            r = rng.uniform(2.0, 6.0)
-            rows, cols = _window(bx, by, r)
-            win = bg[rows, cols]
-            np.maximum(win, b, out=win, where=(xs[cols] - bx) ** 2 + ((xs[rows] - by) ** 2)[:, None] <= r * r)
-        return bg
-    # smooth ramp across the frame in a random direction
-    cols, rows = _grid(size)
-    ang = rng.uniform(0.0, 2.0 * math.pi)
-    u = np.array([math.cos(ang), math.sin(ang)])
-    t = cols * u[0] + rows * u[1]
-    t = (t - t.min()) / max(t.max() - t.min(), 1e-9)
-    lo = rng.uniform(0.05, 0.20)
-    hi = rng.uniform(0.30, 0.45)
-    return lo + (hi - lo) * t
+    radius = r * np.sqrt(2.0 * np.log(b / fill[owner])) if star else r
+    pix = np.arange(int(2 * radius.max()) + 2)
+    rows = np.floor(y - radius).astype(int)[:, None] + pix
+    cols = np.floor(x - radius).astype(int)[:, None] + pix
+    d2 = ((cols + 0.5 - x[:, None]) ** 2)[:, None, :] + ((rows + 0.5 - y[:, None]) ** 2)[:, :, None]
+    b, r = b[:, None, None], r[:, None, None]
+    value = b * np.exp(-d2 / (2.0 * r * r)) if star else np.where(d2 <= r * r, b, 0.0)
+    inside = ((rows >= 0) & (rows < size))[:, :, None] & ((cols >= 0) & (cols < size))[:, None, :]
+    np.maximum.at(bg.reshape(-1), ((owner[:, None, None] * size + rows[:, :, None]) * size
+                                   + cols[:, None, :])[inside], value[inside])
+    return bg
 
 
 @functools.lru_cache
@@ -284,32 +314,44 @@ def _illumination(params: DomainParams, size: int) -> np.ndarray:
     return illum
 
 
-def render_scene_parts(spec: SceneSpec, params: DomainParams, index: int) -> RenderParts:
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
-    verts = _sample_polygon(rng, spec)
-    coverage = _coverage_map(verts, spec.size)
-    texture = _texture_map(rng, verts, params, spec.size)
-    bg = _render_background(rng, params, spec.size)
-    illum = _illumination(params, spec.size)
-
-    bg_render = np.clip(illum * bg, 0.0, 1.0)
-    prenoise = np.clip(illum * ((1.0 - coverage) * bg + coverage * texture), 0.0, 1.0)
+def _render(spec: SceneSpec, params: DomainParams, start: int, images: np.ndarray,
+            domain: DomainLabel = DomainLabel.SOURCE):
+    """Render scenes start, start + 1, ... into the (B, 1, H, W) float32 `images`.
+    Returns their samples and the chunk's background, coverage and pre-noise planes."""
+    size = spec.size
+    rngs = [np.random.default_rng(np.random.SeedSequence((spec.seed, start + i))) for i in range(len(images))]
+    verts, n = _polygons(rngs, spec)
+    cov = np.stack([_coverage_map(v[:k], size) for v, k in zip(verts, n)])
+    covered = cov * _textures(rngs, verts, n, params, size)
+    bg = _backgrounds(rngs, params, size)
+    prenoise = 1.0 - cov
+    prenoise *= bg
+    prenoise += covered
+    prenoise *= _illumination(params, size)
+    np.clip(prenoise, 0.0, 1.0, out=prenoise)
     img = prenoise
     if params.noise_sigma > 0:
-        img = np.clip(img + rng.normal(0.0, params.noise_sigma, size=img.shape), 0.0, 1.0)
+        img = covered  # reused: rng.normal(0, sigma) is sigma times the standard normal draws
+        for rng, plane in zip(rngs, img):
+            rng.standard_normal(out=plane)
+        img *= params.noise_sigma
+        img += prenoise
+        np.clip(img, 0.0, 1.0, out=img)
+    images[:, 0] = img
 
-    covered_rows = np.flatnonzero(coverage.any(axis=1))
-    covered_cols = np.flatnonzero(coverage.any(axis=0))
-    box = np.array([[covered_cols[0], covered_rows[0],
-                     covered_cols[-1] + 1, covered_rows[-1] + 1]], dtype=np.float64)
-    sample = Sample(
-        image=img.astype(np.float32)[None],
-        gt_boxes=box,
-        gt_classes=np.array([1], dtype=np.int64),
-        domain=DomainLabel.SOURCE,
-        image_id=index,
-    )
-    return RenderParts(background=bg_render, coverage=coverage, prenoise=prenoise, sample=sample)
+    rows, cols = cov.any(axis=2), cov.any(axis=1)
+    boxes = np.stack([cols.argmax(axis=1), rows.argmax(axis=1), size - cols[:, ::-1].argmax(axis=1),
+                      size - rows[:, ::-1].argmax(axis=1)], axis=1).astype(np.float64)
+    samples = [Sample(image=image, gt_boxes=boxes[i:i + 1], gt_classes=np.array([1], dtype=np.int64),
+                      domain=domain, image_id=start + i) for i, image in enumerate(images)]
+    return samples, bg, cov, prenoise
+
+
+def render_scene_parts(spec: SceneSpec, params: DomainParams, index: int) -> RenderParts:
+    image = np.empty((1, 1, spec.size, spec.size), np.float32)
+    samples, bg, cov, prenoise = _render(spec, params, index, image)
+    background = np.clip(_illumination(params, spec.size) * bg[0], 0.0, 1.0)
+    return RenderParts(background=background, coverage=cov[0], prenoise=prenoise[0], sample=samples[0])
 
 
 def render_scene(spec: SceneSpec, params: DomainParams, index: int,
@@ -355,6 +397,9 @@ class BenchmarkConfig:
         for name in ("source_count", "target_train_small", "target_train_full", "target_test_count"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("source_start", "target_train_start", "target_test_start"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.target_train_small > self.target_train_full:
             raise ValueError("target_train_small cannot exceed target_train_full")
         spans = [
@@ -394,12 +439,10 @@ def make_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkSpli
     """Render all splits, each into one (count, 1, H, W) float32 array whose rows
     are the samples' images. The small target split is a prefix of the full one."""
     def run(params, domain, start, count):
-        samples = []
-        for i, row in enumerate(np.empty((count, 1, config.scene.size, config.scene.size), np.float32)):
-            samples.append(render_scene(config.scene, params, start + i, domain))
-            row[...] = samples[-1].image   # the render is freed once the sample holds its row
-            samples[-1].image = row
-        return samples
+        images = np.empty((count, 1, config.scene.size, config.scene.size), np.float32)
+        step = max(_CHUNK_PX // config.scene.size**2, 1)
+        return [sample for i in range(0, count, step)
+                for sample in _render(config.scene, params, start + i, images[i:i + step], domain)[0]]
 
     source_train = run(config.source, DomainLabel.SOURCE, config.source_start, config.source_count)
     target_full = run(config.target, DomainLabel.TARGET, config.target_train_start, config.target_train_full)

@@ -2,9 +2,11 @@
 
 Every star and clutter blob is evaluated over the whole frame, and the
 silhouette's inside test runs on a meshgrid of all subsamples with the
-cross product of every edge. `render_scene_parts` must match this byte for
-byte, so its windows and its inside test are checked against code that has
-neither. The polygon itself comes from synthgen's `_sample_polygon`.
+cross product of every edge. Each scene is drawn alone, with the polygon
+attempts, the per-star calls and the noise exactly as the per-image renderer
+drew them. `render_scene_parts` must match this byte for byte, so its
+windows, its chunked draws and its inside test are checked against code
+that has none of them.
 """
 
 import math
@@ -12,12 +14,40 @@ import math
 import numpy as np
 
 from lirrdet.lirr import DomainLabel
-from lirrdet.synthgen import (_SS, Background, RenderParts, Sample, TargetTexture,
-                              _sample_polygon)
+from lirrdet.synthgen import _MAX_RETRIES, _MIN_AREA, _SS, Background, RenderParts, Sample, TargetTexture
 
 
 def _grid(size):
     return np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+
+
+def _cross_sum(verts):
+    x, y = verts[:, 0], verts[:, 1]
+    return float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def sample_polygon(rng, spec):
+    size = spec.size
+    for _ in range(_MAX_RETRIES):
+        n = int(rng.integers(spec.polygon_sides[0], spec.polygon_sides[1] + 1))
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        rx, ry = size * rng.uniform(*spec.scale_range, size=2)
+        theta = rng.uniform(*spec.rotation_range)
+        ang = phase + 2.0 * math.pi * np.arange(n) / n
+        base = np.stack([np.cos(ang), np.sin(ang)], axis=1) * [rx, ry]
+        rot = np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]])
+        verts = base @ rot.T
+        cx = rng.uniform(*spec.position_range) * size
+        cy = rng.uniform(*spec.position_range) * size
+        lo = 1.0 - verts.min(axis=0)
+        hi = (size - 1.0) - verts.max(axis=0)
+        if np.any(lo > hi):
+            continue
+        verts = verts + np.clip([cx, cy], lo, hi)
+        if 0.5 * abs(_cross_sum(verts)) >= _MIN_AREA:
+            return verts
+    raise ValueError(f"no polygon after {_MAX_RETRIES} attempts")
 
 
 def coverage_map(verts, size):
@@ -31,7 +61,7 @@ def coverage_map(verts, size):
     ys = r0 + (np.arange(h)[:, None] + offs[None, :]).reshape(-1)
     px, py = np.meshgrid(xs, ys)
     # counter-clockwise order, so inside means every cross product >= 0
-    if np.dot(verts[:, 0], np.roll(verts[:, 1], -1)) - np.dot(verts[:, 1], np.roll(verts[:, 0], -1)) < 0:
+    if _cross_sum(verts) < 0:
         verts = verts[::-1]
     inside = np.ones(px.shape, dtype=bool)
     for i in range(len(verts)):
@@ -99,7 +129,7 @@ def illumination(params, size):
 
 def render_scene_parts(spec, params, index) -> RenderParts:
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, index)))
-    verts = _sample_polygon(rng, spec)
+    verts = sample_polygon(rng, spec)
     coverage = coverage_map(verts, spec.size)
     texture = texture_map(rng, verts, params, spec.size)
     bg = render_background(rng, params, spec.size)

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lirrdet import cli
 from lirrdet.lirr import DomainLabel
@@ -46,6 +46,9 @@ _REPORT = RunReport(config=_EXPERIMENT, eval_series=[{"step": 1, "ap": 0.5}],
                     final={"ap": 0.5, "ap50": 0.75, "ap75": 0.25}).to_dict()
 VALID = {"train": [_EXPERIMENT, _REPORT], "eval": [_EXPERIMENT, _REPORT],
          "gen": [_BENCHMARK], "report": [_REPORT]}
+# a file per command with a negative seed or start, which the fuzz draws too rarely
+NEGATIVE = {"train": {**_EXPERIMENT, "seed": -1}, "eval": {**_REPORT, "config": {**_EXPERIMENT, "seed": -2}},
+            "gen": {**_BENCHMARK, "source_start": -3}, "report": {**_REPORT, "config": {**_EXPERIMENT, "seed": -1}}}
 
 
 def _paths(node, depth, prefix=()):
@@ -109,12 +112,15 @@ def _typed_like(value, default) -> bool:
 
 def _well_formed(cfg) -> bool:
     """What a stub checks of the config it gets: its echo has the default's
-    JSON types, and every (lo, hi) range of a scene is ordered."""
+    JSON types, every (lo, hi) range of a scene is ordered, and seeds and
+    start indices are non-negative (numpy seeds only from those)."""
     if isinstance(cfg, ExperimentConfig):
-        return _typed_like(cfg.to_dict(), _EXPERIMENT)
+        return _typed_like(cfg.to_dict(), _EXPERIMENT) and cfg.seed >= 0
     scene = cfg.scene
     ranges = (scene.polygon_sides, scene.scale_range, scene.position_range, scene.rotation_range)
-    return _typed_like(cfg.to_dict(), _BENCHMARK) and all(lo <= hi for lo, hi in ranges)
+    starts = (scene.seed, cfg.source_start, cfg.target_train_start, cfg.target_test_start)
+    return _typed_like(cfg.to_dict(), _BENCHMARK) and all(lo <= hi for lo, hi in ranges) \
+        and min(starts) >= 0
 
 
 @pytest.fixture
@@ -173,6 +179,7 @@ def test_any_file_works_or_prints_one_error_line(stubs, tmp_path_factory, comman
 
     @FUZZ
     @given(content=_contents(command))
+    @example(content=json.dumps(NEGATIVE[command]).encode())
     def check(content):
         path.write_bytes(content)
         stubs.clear()
@@ -193,6 +200,42 @@ def test_gen_scale_range_too_small_is_one_error_line(tmp_path):
     code, err = _run(_argv("gen", path, tmp_path))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     assert "scale_range" in err
+
+
+@pytest.mark.parametrize("scale,why", [
+    ([0.001, 0.001], "10 had a degenerate area below 4.0"),
+    ([0.5, 0.6], "10 did not fit the 64-px frame"),
+    ([0.9, 1.0], "10 did not fit the 64-px frame"),
+])
+def test_gen_polygon_error_names_the_failed_check(tmp_path, scale, why):
+    # the real make_benchmark; too small a polygon is degenerate, too big a one leaves
+    # the frame (at scale 0.5-0.6 some fit: scene 0 renders, scene 1 does not)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"source_count": 2, "target_train_small": 1, "target_train_full": 1,
+                                "target_test_count": 1, "scene": {"scale_range": scale}}))
+    code, err = _run(_argv("gen", path, tmp_path))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"scale_range {tuple(scale)}: {why}\n" in err, err
+
+
+@pytest.mark.parametrize("command,doc,extra,key", [
+    ("gen", _BENCHMARK, ["--seed", "-1"], "seed"),
+    ("gen", {**_BENCHMARK, "scene": {**_BENCHMARK["scene"], "seed": -2}}, [], "seed"),
+    ("gen", {**_BENCHMARK, "source_start": -5}, [], "source_start"),
+    ("gen", {**_BENCHMARK, "target_train_start": -1}, [], "target_train_start"),
+    ("gen", {**_BENCHMARK, "target_test_start": -3}, [], "target_test_start"),
+    ("train", {**_EXPERIMENT, "seed": -4}, [], "seed"),
+    ("train", _EXPERIMENT, ["--seed", "-4"], "seed"),
+    ("eval", {**_EXPERIMENT, "seed": -4}, [], "seed"),
+], ids=["gen-seed-flag", "scene-seed", "source_start", "target_train_start", "target_test_start",
+        "train-seed", "train-seed-flag", "eval-seed"])
+def test_negative_seed_or_start_names_its_key(stubs, tmp_path, command, doc, extra, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run(_argv(command, path, tmp_path) + extra)
+    assert code == 1 and err.count("\n") == 1, err
+    assert re.fullmatch(f"error: {key} must be >= 0, got -\\d+\n", err), err
+    assert stubs == []
 
 
 @pytest.mark.parametrize("command,doc,key", [

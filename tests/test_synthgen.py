@@ -22,6 +22,7 @@ from lirrdet.synthgen import (
     TargetTexture,
     SOURCE_DOMAIN,
     TARGET_DOMAIN,
+    _CHUNK_PX,
     _coverage_map,
     load_dataset,
     make_benchmark,
@@ -218,6 +219,83 @@ class TestRenderOracle:
             for s in samples).encode()).hexdigest()
         assert images == "11ba98a5044a1a2514ed5a948eebb7bc2a88ada22d94617d631101bce9d42592"
         assert annotations == "25a3d7eb5a3edb3b4b3cd558331db274f9085acd45429984bcff7650d5d1e352"
+
+
+def _assert_split_renders_alone(split, spec, params, render=render_scene):
+    """Every sample of a chunked split equals its scene rendered alone."""
+    for s in split:
+        alone = render(spec, params, s.image_id)
+        assert s.image.tobytes() == alone.image.tobytes(), (s.image_id, params)
+        assert s.gt_boxes.tobytes() == alone.gt_boxes.tobytes() and s.gt_boxes.shape == (1, 4)
+        assert s.gt_classes.tobytes() == alone.gt_classes.tobytes() and s.gt_classes.dtype == np.int64
+
+
+class TestChunks:
+    """make_benchmark renders _CHUNK_PX pixels at a time; each scene must not see its neighbours."""
+
+    CHUNK = _CHUNK_PX // 64**2
+
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_chunk_boundaries(self, count):
+        cfg = BenchmarkConfig(source_count=count, target_train_small=1, target_train_full=count,
+                              target_test_count=1, source_start=3)
+        splits = make_benchmark(cfg)
+        assert [s.image_id for s in splits.source_train] == list(range(3, 3 + count))
+        assert [s.image_id for s in splits.target_train_full] == list(range(10000, 10000 + count))
+        assert all(s.domain is DomainLabel.SOURCE for s in splits.source_train)
+        assert all(s.domain is DomainLabel.TARGET for s in splits.target_train_full + splits.target_test)
+        _assert_split_renders_alone(splits.source_train, cfg.scene, cfg.source)
+        _assert_split_renders_alone(splits.target_train_full, cfg.scene, cfg.target)
+
+    @pytest.mark.parametrize("size", [16, 64, 96])
+    def test_grid_params_render_alone(self, size):
+        spec = SceneSpec(size=size, seed=4)
+        chunk = max(_CHUNK_PX // size**2, 1)
+        for params in TestRenderOracle.GRID:
+            splits = make_benchmark(BenchmarkConfig(scene=spec, source=params, target=params,
+                                                    source_count=chunk + 1, target_train_small=1,
+                                                    target_train_full=1, target_test_count=1))
+            assert [s.image_id for s in splits.source_train] == list(range(chunk + 1))
+            _assert_split_renders_alone(splits.source_train, spec, params)
+
+    def test_retried_polygons_match_the_reference(self):
+        # at this scale most polygon attempts leave the frame and are drawn again
+        spec = SceneSpec(scale_range=(0.48, 0.56))
+        splits = make_benchmark(BenchmarkConfig(scene=spec, source_count=self.CHUNK + 5, source_start=40,
+                                                target_train_small=1, target_train_full=1, target_test_count=1))
+        _assert_split_renders_alone(splits.source_train, spec, SOURCE_DOMAIN,
+                                    lambda *scene: _render_ref.render_scene_parts(*scene).sample)
+
+    def test_failing_polygon_mid_chunk_raises_its_error(self):
+        spec = SceneSpec(scale_range=(0.48, 0.56))
+        start = 28 - self.CHUNK // 2
+        errors = {}
+        for index in range(start, start + self.CHUNK):
+            try:
+                render_scene(spec, SOURCE_DOMAIN, index)
+            except RenderError as e:
+                errors[index] = str(e)
+        assert list(errors) == [28]  # one failure, in the middle of the chunk
+        with pytest.raises(RenderError) as err:
+            make_benchmark(BenchmarkConfig(scene=spec, source_count=self.CHUNK, source_start=start,
+                                           target_train_small=1, target_train_full=1, target_test_count=1))
+        assert str(err.value) == errors[28]
+
+    def test_chunk_temporaries_do_not_grow_with_the_split(self):
+        make_benchmark(BenchmarkConfig(source_count=1, target_train_small=1, target_train_full=1,
+                                       target_test_count=1))  # caches and imports
+        extra = []
+        for count in (300, 600):
+            tracemalloc.start()
+            try:
+                make_benchmark(BenchmarkConfig(source_count=count, target_train_small=5,
+                                               target_train_full=10, target_test_count=20))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - (count + 30) * 64 * 64 * 4)  # above the split buffers
+        # at most a dozen float64 planes of one chunk; samples cost well under 1 KB apiece
+        assert max(extra) < 12 * _CHUNK_PX * 8 and extra[1] - extra[0] < 300 * 1024, extra
 
 
 class TestMakeBenchmark:
