@@ -181,3 +181,6 @@ def main(argv=None) -> int:
             RenderError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # a size that numpy or a list cannot allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 1

@@ -44,7 +44,8 @@ Sign handling, spelled out because it is easy to get backwards:
 Setting a weight to exactly 0.0 skips building that term's graph, which
 keeps the reduced objective bit-for-bit identical to a plain supervised
 run and leaves the untouched parameter groups frozen (their gradients
-stay None).
+stay None). A batch of None drops both adaptation terms: the objective is
+then the shared risk of the other batch, as the supervised baselines train.
 """
 
 from __future__ import annotations
@@ -92,16 +93,16 @@ class LirrConfig:
 
 
 @dataclass
-class LossBreakdown:
-    l_rep: float
-    l_i: float
-    l_d: float
-    l_risk: float
-    l_total: float
-    l_i_cls: float
-    l_i_loc: float
-    l_d_cls: float
-    l_d_loc: float
+class LossBreakdown:  # a term the objective did not compute reads 0.0
+    l_rep: float = 0.0
+    l_i: float = 0.0
+    l_d: float = 0.0
+    l_risk: float = 0.0
+    l_total: float = 0.0
+    l_i_cls: float = 0.0
+    l_i_loc: float = 0.0
+    l_d_cls: float = 0.0
+    l_d_loc: float = 0.0
 
     def to_dict(self) -> dict:
         return {k: float(v) for k, v in vars(self).items()}
@@ -203,13 +204,7 @@ def _risk_sum(feats, batch, matches, model, by_domain: bool):
 
 def invariant_risk(batch, model) -> Tensor:
     """Mean detection loss of the shared head over a (possibly mixed) batch."""
-    batch = list(batch)
-    if not batch:
-        raise ValueError("invariant_risk: empty batch")
-    _check_labeled(batch)
-    feats = model.features(_stack_images(batch))
-    total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, False)
-    return total * (1.0 / len(batch))
+    return _objective(batch, None, model, None, None)[0]
 
 
 def _graph_unless_zero(weight: float):
@@ -218,22 +213,28 @@ def _graph_unless_zero(weight: float):
 
 
 def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
-    batches = list(batch_src), list(batch_tgt)
-    for name, batch in zip(("source", "target"), batches):
+    """(total, LossBreakdown); with a None batch, classifier and cfg go unread."""
+    named = {name: list(b) for name, b in (("source", batch_src), ("target", batch_tgt)) if b is not None}
+    for name, batch in named.items():
         if not batch:
             raise ValueError(f"empty {name} batch")
-    _check_labeled(batches[0] + batches[1])
+    batches = list(named.values())
+    _check_labeled([s for batch in batches for s in batch])
 
     feats = [model.features(_stack_images(batch)) for batch in batches]
     matches = [_matches(batch, model) for batch in batches]
-    n = len(batches[0]) + len(batches[1])
+    n = sum(len(batch) for batch in batches)
 
-    def mean_risk(feat_pair, by_domain):
-        (sum_s, cs, ls), (sum_t, ct, lt) = [_risk_sum(f, batch, m, model, by_domain)
-                                            for f, batch, m in zip(feat_pair, batches, matches)]
-        return (sum_s + sum_t) * (1.0 / n), (cs + ct) / n, (ls + lt) / n
+    def mean_risk(feat_list, by_domain):  # the Tensor sum starts at sums[0]: no 0 + Tensor op
+        sums, cls, loc = zip(*[_risk_sum(f, batch, m, model, by_domain)
+                               for f, batch, m in zip(feat_list, batches, matches)])
+        return sum(sums[1:], sums[0]) * (1.0 / n), sum(cls) / n, sum(loc) / n
 
     l_i, i_cls, i_loc = mean_risk(feats, False)
+    if len(batches) == 1:
+        v = float(l_i.data)
+        return l_i, LossBreakdown(l_i=v, l_risk=v, l_total=v, l_i_cls=i_cls, l_i_loc=i_loc)
+
     with _graph_unless_zero(cfg.lambda_risk):
         rev = [[grad_reverse(f, 1.0) for f in fs] for fs in feats]
         l_d, d_cls, d_loc = mean_risk(rev, True)
@@ -249,18 +250,18 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
     l_d_f = float(l_d.data)
     l_rep_f = float(rep.data)
     l_risk_f = l_i_f + cfg.lambda_risk * (l_i_f - l_d_f)
-    breakdown = LossBreakdown(
+    return total, LossBreakdown(
         l_rep=l_rep_f, l_i=l_i_f, l_d=l_d_f, l_risk=l_risk_f,
         l_total=l_risk_f + cfg.lambda_rep * l_rep_f,
         l_i_cls=i_cls, l_i_loc=i_loc, l_d_cls=d_cls, l_d_loc=d_loc)
-    return total, breakdown
 
 
 def train_step(batch_src, batch_tgt, model, classifier, optimizer,
                cfg: LirrConfig) -> LossBreakdown:
-    """One joint update of backbone, heads, and domain classifier."""
+    """One SGD update on the objective; with one batch None, classifier may be None."""
     model.zero_grad()
-    classifier.zero_grad()
+    if classifier is not None:
+        classifier.zero_grad()
     total, breakdown = _objective(batch_src, batch_tgt, model, classifier, cfg)
     backward(total)
     optimizer.step()

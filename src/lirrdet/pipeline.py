@@ -2,12 +2,14 @@
 
 SourceOnly fits the supervised detection risk on labelled source images,
 Oracle fits the same risk on the labelled target-train budget, and SDA
-fits the full domain-adaptive objective on both. What a run is allowed to
-read is written down once, in ``_MODE_SPLITS``: the config's path check,
-split loading, batch tables and counters all follow it, so a mode's step
-function is only ever handed batches of the splits it may consume, and
-per-split sample counters are carried into the run report so the isolation
-can be audited afterwards.
+fits the full domain-adaptive objective on both. Every mode runs the same
+step, ``lirr.train_step``, with each split's batch in its own argument and
+None for a split the mode does not read. What a run is allowed to read is
+written down once, in ``_MODE_SPLITS``: the config's path check, split
+loading, batch tables and counters all follow it, so the step is only ever
+handed batches of the splits the mode may consume, and per-split sample
+counters are carried into the run report so the isolation can be audited
+afterwards.
 
 A run is a pure function of its config. Model init and batch order derive
 from (seed, stream) pairs, the parameters do not depend on the number of
@@ -21,7 +23,6 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from enum import Enum
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .container import atomic_open
 from .detector.inference import forward_detect, save_detections
 from .detector.model import Detector, ModelSpec
 from .jsonconfig import from_json_dict
-from .lirr import DomainClassifier, LirrConfig, invariant_risk, train_step
+from .lirr import DomainClassifier, LirrConfig, train_step
 from .synthgen import load_dataset
 
 
@@ -64,8 +65,7 @@ _SOURCE = _Split("source_path", "source train", "source_samples", 1, budgeted=Fa
 _TARGET = _Split("target_train_path", "target train", "target_train_samples", 2, budgeted=True)
 
 # The one place that decides what a mode may read. A split missing here is
-# never opened, and the step function only ever sees batches of these
-# splits, in this order.
+# never opened, and the training step sees None in its place.
 _MODE_SPLITS = {
     Mode.SOURCE_ONLY: (_SOURCE,),
     Mode.ORACLE: (_TARGET,),
@@ -189,6 +189,8 @@ def _load_split(path: str, what: str):
     if not p.is_file():
         raise FileNotFoundError(f"{what} dataset not found: {path}")
     samples = load_dataset(p).samples
+    if not samples:
+        raise ValueError(f"{what} dataset has no samples: {path}")
     samples.sort(key=lambda s: s.image_id)
     return samples
 
@@ -209,10 +211,10 @@ def batch_schedule(n: int, batch_size: int, steps: int, seed, stream: int) -> np
     Exposed so a test can replay exactly the batches a run consumed.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
-    order = []
-    while len(order) < steps * batch_size:
-        order.extend(rng.permutation(n))
-    return np.asarray(order[:steps * batch_size], dtype=np.int64).reshape(steps, batch_size)
+    table = np.empty((-(-steps * batch_size // n), n), dtype=np.int64)  # one epoch a row
+    for row in table:
+        row[:] = rng.permutation(n)
+    return table.ravel()[:steps * batch_size].reshape(steps, batch_size)
 
 
 def _evaluate_model(model, test_samples) -> tuple:
@@ -232,20 +234,6 @@ def _model_state(model, classifier=None) -> dict:
     return state
 
 
-def _supervised_step(batch, model, optimizer):
-    optimizer.zero_grad()
-    loss = invariant_risk(batch, model)
-    loss.backward()
-    optimizer.step()
-    v = float(loss.data)
-    return {"l_rep": 0.0, "l_i": v, "l_d": 0.0, "l_risk": v, "l_total": v}
-
-
-def _sda_step(batch_src, batch_tgt, model, classifier, optimizer, lirr_cfg):
-    bd = train_step(batch_src, batch_tgt, model, classifier, optimizer, lirr_cfg).to_dict()
-    return {k: bd[k] for k in ("l_rep", "l_i", "l_d", "l_risk", "l_total")}
-
-
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Train per the config's mode, evaluating on the target test split.
 
@@ -254,24 +242,18 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     first time the training loss goes non-finite.
     """
     t0 = time.perf_counter()
-    mode = config.mode
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     test = _load_split(config.target_test_path, "target test")
-    splits = _MODE_SPLITS[mode]
+    splits = _MODE_SPLITS[config.mode]
     data = [_load_training_split(config, sp) for sp in splits]
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_INIT)))
     model = Detector(config.model_spec, rng=rng)
-    classifier = DomainClassifier(config.widths[-1], rng=rng) if mode == Mode.SDA else None
+    classifier = DomainClassifier(config.widths[-1], rng=rng) if config.mode == Mode.SDA else None
     params = model.parameters() + (classifier.parameters() if classifier is not None else [])
     optimizer = SGD(params, lr=config.lr, momentum=config.momentum)
-    if classifier is None:
-        step_fn = partial(_supervised_step, model=model, optimizer=optimizer)
-    else:
-        step_fn = partial(_sda_step, model=model, classifier=classifier,
-                          optimizer=optimizer, lirr_cfg=config.lirr_config)
 
     # mode isolation happens here: the loop below only sees these tables
     scheds = [batch_schedule(len(d), config.batch_size, config.steps, config.seed, sp.stream)
@@ -282,16 +264,17 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     eval_series = []
     with open(losses_path, "w") as log:
         for step in range(1, config.steps + 1):
-            batches = [[d[i] for i in sched[step - 1]] for d, sched in zip(data, scheds)]
-            for sp, batch in zip(splits, batches):
+            batches = {sp: [d[i] for i in sched[step - 1]] for sp, d, sched in zip(splits, data, scheds)}
+            for sp, batch in batches.items():
                 counters[sp.counter] += len(batch)
-            line = step_fn(*batches)
+            line = train_step(batches.get(_SOURCE), batches.get(_TARGET), model, classifier,
+                              optimizer, config.lirr_config).to_dict()
 
             log.write(json.dumps({"step": step, **line}) + "\n")
             if not np.isfinite(line["l_total"]):
                 raise RuntimeError(
                     f"non-finite training loss at step {step} "
-                    f"(mode {mode.value}, seed {config.seed}): {line}")
+                    f"(mode {config.mode.value}, seed {config.seed}): {line}")
 
             if step % config.eval_cadence == 0 or step == config.steps:
                 ap, records = _evaluate_model(model, test)

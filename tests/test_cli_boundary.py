@@ -7,7 +7,10 @@ dropped or added, and arbitrary JSON values) and raw bytes go through
 `report`. The subject is the boundary, so `run_experiment`,
 `evaluate_checkpoint` and `make_benchmark` are stubs that record the config
 they get, and an accepted config must be well formed; the pipeline tests
-cover the real runs.
+cover the real runs. The last tests run the real commands, `gen` and
+`train` in a child process with a time limit and an address-space limit:
+an empty split and a size that cannot be allocated must each end in one
+`error:` line.
 """
 
 import copy
@@ -16,19 +19,24 @@ import io
 import json
 import math
 import operator
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lirrdet import cli
+import lirrdet
+from lirrdet import cli, container
 from lirrdet.lirr import DomainLabel
 from lirrdet.pipeline import ExperimentConfig, RunReport
-from lirrdet.synthgen import BenchmarkConfig, BenchmarkSplits, Sample
+from lirrdet.synthgen import (BenchmarkConfig, BenchmarkSplits, Sample, SceneSpec, make_benchmark,
+                              save_dataset)
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -255,3 +263,86 @@ def test_non_finite_number_names_its_key(stubs, tmp_path, command, doc, key):
     assert code == 1 and err.count("\n") == 1, err
     assert re.search(f"config key {key} must be a finite number", err), err
     assert stubs == []
+
+
+# cli.main in a child process whose address space is capped at 1 GiB, so an
+# allocation too large for it fails whatever the host's overcommit policy
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from lirrdet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_capped(argv, timeout=120):
+    src_dir = str(Path(lirrdet.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return proc.returncode, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def splits_dir(tmp_path_factory):
+    """Tiny real splits, plus `empty.bin`: a well-formed dataset of 0 images."""
+    out = tmp_path_factory.mktemp("splits")
+    splits = make_benchmark(BenchmarkConfig(scene=SceneSpec(size=32, seed=3), source_count=4,
+                                            target_train_small=2, target_train_full=2,
+                                            target_test_count=2))
+    for name in ("source_train", "target_train_full", "target_test"):
+        save_dataset(getattr(splits, name), out / f"{name}.bin")
+    container.write(out / "empty.bin", {"count": 0, "image_shape": [1, 32, 32], "config": {}},
+                    {"images": b"", "annotations": b""})
+    return out
+
+
+def _train_config(splits_dir, tmp_path, mode="SDA", **paths):
+    cfg = {"mode": mode, "source_path": str(splits_dir / "source_train.bin"),
+           "target_train_path": str(splits_dir / "target_train_full.bin"),
+           "target_test_path": str(splits_dir / "target_test.bin"),
+           "label_budget": 2, "image_size": 32, "widths": [8, 16, 24, 32], "batch_size": 2,
+           "steps": 2, "eval_cadence": 2, "out_dir": str(tmp_path / "run"),
+           **{k: str(splits_dir / v) for k, v in paths.items()}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("mode,key,what", [
+    ("SDA", "source_path", "source train"),
+    ("SourceOnly", "source_path", "source train"),
+    ("Oracle", "target_train_path", "target train"),
+    ("SDA", "target_train_path", "target train"),
+    ("SDA", "target_test_path", "target test"),
+])
+def test_train_on_an_empty_split_is_one_error_line(splits_dir, tmp_path, mode, key, what):
+    # an empty training split used to cycle empty epochs forever, and an empty
+    # test split to "succeed" with ap=-1
+    cfg = _train_config(splits_dir, tmp_path, mode, **{key: "empty.bin"})
+    code, err = _run_capped(["train", "--config", str(cfg)], timeout=60)
+    assert code == 1 and err == f"error: {what} dataset has no samples: {splits_dir / 'empty.bin'}\n", err
+
+
+def test_eval_on_an_empty_test_split_is_one_error_line(splits_dir, tmp_path):
+    assert _run(["train", "--config", str(_train_config(splits_dir, tmp_path))]) == (0, "")
+    cfg = _train_config(splits_dir, tmp_path, target_test_path="empty.bin")
+    code, err = _run(["eval", "--config", str(cfg)])
+    assert code == 1 and err == f"error: target test dataset has no samples: {splits_dir / 'empty.bin'}\n", err
+
+
+def test_gen_too_large_for_memory_is_one_error_line(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"source_count": 10**9, "source_start": 10**11,
+                                "target_train_start": 0, "target_test_start": 1000}))
+    code, err = _run_capped(["gen", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1 and err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
+
+def test_train_too_many_steps_for_memory_is_one_error_line(splits_dir, tmp_path):
+    # the batch table of 10^10 steps is allocated before step 1, and fails at once
+    cfg = _train_config(splits_dir, tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "steps": 10**10}))
+    code, err = _run_capped(["train", "--config", str(cfg)])
+    assert code == 1 and err.startswith("error: out of memory: ") and err.count("\n") == 1, err

@@ -1,6 +1,7 @@
 """Experiment runner and CLI: config handling, mode isolation, artifacts,
 determinism, and the gen/train/eval/report flow on a miniature benchmark."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _step_ref
 import lirrdet
 from lirrdet.autodiff import SGD, CheckpointError, load_checkpoint, save_checkpoint
 from lirrdet.cli import main
@@ -22,6 +24,9 @@ from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, load_dataset,
                               make_benchmark, save_dataset)
 
 TINY_WIDTHS = (8, 16, 24, 32)
+# a losses.jsonl line: the step and every LossBreakdown field, in every mode
+LOG_KEYS = {"step", "l_rep", "l_i", "l_d", "l_risk", "l_total",
+            "l_i_cls", "l_i_loc", "l_d_cls", "l_d_loc"}
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +145,14 @@ class TestBatchSchedule:
         b = batch_schedule(50, 4, 10, seed=5, stream=2)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 13])
+    def test_matches_the_list_growing_table(self, n):
+        for batch_size, steps, seed, stream in itertools.product((1, 4, 8), (1, 5, 26), (0, 7), (1, 2)):
+            got = batch_schedule(n, batch_size, steps, seed, stream)
+            want = _step_ref.batch_schedule(n, batch_size, steps, seed, stream)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
 
 class TestRunExperiment:
     def test_sda_artifacts(self, bench, tmp_path):
@@ -152,7 +165,7 @@ class TestRunExperiment:
 
         lines = [json.loads(l) for l in open(out / "losses.jsonl")]
         assert [l["step"] for l in lines] == [1, 2, 3, 4]
-        assert set(lines[0]) == {"step", "l_rep", "l_i", "l_d", "l_risk", "l_total"}
+        assert all(set(l) == LOG_KEYS for l in lines)
 
         assert [e["step"] for e in report.eval_series] == [2, 4]
         assert set(report.final) == {"ap", "ap50", "ap75", "per_threshold", "thresholds"}
@@ -238,6 +251,37 @@ class TestRunExperiment:
         assert rerun.eval_series == report.eval_series
 
 
+class TestOneTrainingPath:
+    """Every mode runs lirr.train_step; the supervised modes keep the bits of
+    the hand-built supervised step they ran before (tests/_step_ref.py)."""
+
+    @pytest.mark.parametrize("mode", ["SourceOnly", "Oracle"])
+    def test_supervised_modes_match_reference_loop(self, bench, tmp_path, mode):
+        cfg = tiny_config(bench, tmp_path, mode=mode, steps=6)
+        report = run_experiment(cfg)
+        logged = [json.loads(l)["l_total"] for l in open(report.losses_path)]
+        model, losses = _step_ref.supervised_run(cfg)
+        assert logged == losses
+        saved = load_checkpoint(report.checkpoint_path)
+        assert set(saved) == {f"model.{name}" for name, _ in model.named_parameters()}
+        for name, param in model.named_parameters():
+            assert saved[f"model.{name}"].tobytes() == param.data.tobytes(), name
+
+    def test_every_mode_logs_the_same_ten_keys(self, bench, tmp_path):
+        for mode in ("SourceOnly", "Oracle", "SDA"):
+            report = run_experiment(tiny_config(bench, tmp_path / mode, mode=mode))
+            lines = [json.loads(l) for l in open(report.losses_path)]
+            assert [l["step"] for l in lines] == [1, 2, 3, 4]
+            assert all(set(l) == LOG_KEYS for l in lines), mode
+            for l in lines:
+                if mode == "SDA":
+                    assert l["l_d"] > 0.0 and l["l_rep"] != 0.0
+                    continue
+                assert l["l_d"] == l["l_rep"] == l["l_d_cls"] == l["l_d_loc"] == 0.0
+                assert l["l_i"] == l["l_risk"] == l["l_total"] > 0.0
+                assert l["l_i_cls"] + l["l_i_loc"] == pytest.approx(l["l_i"], rel=1e-5)
+
+
 _TWENTY_SDA_STEPS = """
 import hashlib
 import numpy as np
@@ -286,7 +330,10 @@ class TestSdaReducesToJointSupervised:
         cfg = tiny_config(bench, tmp_path / "run", lambda_rep=0.0,
                           lambda_risk=0.0, steps=6)
         report = run_experiment(cfg)
-        logged = [json.loads(l)["l_total"] for l in open(tmp_path / "run" / "losses.jsonl")]
+        lines = [json.loads(l) for l in open(tmp_path / "run" / "losses.jsonl")]
+        logged = [l["l_total"] for l in lines]
+        # a zero weight skips a term's graph, not its value: SDA still reports both
+        assert all(l["l_d"] > 0.0 and l["l_rep"] < 0.0 for l in lines)
 
         source = load_dataset(bench / "source_train.bin").samples
         source.sort(key=lambda s: s.image_id)
