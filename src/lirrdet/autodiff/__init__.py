@@ -12,11 +12,8 @@ from .functional import (
     conv2d,
     global_avg_pool,
     bias_add,
-    softmax_cross_entropy,
     binary_cross_entropy_logit,
-    smooth_l1,
     grad_reverse,
-    gather_rows,
     concat,
 )
 from .nn import Parameter, Module, Conv2d, Linear, he_normal
@@ -26,8 +23,7 @@ from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
 __all__ = [
     "Tensor", "ShapeError", "TapeError", "backward", "no_grad",
     "precision", "default_dtype", "matmul",
-    "conv2d", "global_avg_pool", "bias_add", "softmax_cross_entropy",
-    "binary_cross_entropy_logit", "smooth_l1", "grad_reverse", "gather_rows",
-    "concat", "Parameter", "Module", "Conv2d", "Linear", "he_normal", "SGD",
-    "save_checkpoint", "load_checkpoint", "CheckpointError",
+    "conv2d", "global_avg_pool", "bias_add", "binary_cross_entropy_logit",
+    "grad_reverse", "concat", "Parameter", "Module", "Conv2d", "Linear",
+    "he_normal", "SGD", "save_checkpoint", "load_checkpoint", "CheckpointError",
 ]

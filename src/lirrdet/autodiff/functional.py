@@ -1,12 +1,10 @@
-"""Neural-network operations on tensors: convolution, pooling, losses.
+"""Neural-network operations on tensors: convolution, pooling, the domain
+classifier's loss, gradient reversal and concatenation.
 
 Every op here builds its output through ``_op`` from ``tensor.py``, as the
 elementwise ops do: forward values are plain numpy, and a backward rule is
-recorded when any input is being tracked.
-
-Each loss has the one reduction the detector uses: ``softmax_cross_entropy``
-and ``smooth_l1`` sum over their rows (the detection loss normalizes by the
-positive count itself), ``binary_cross_entropy_logit`` takes the mean.
+recorded when any input is being tracked. The detection loss is one op of
+its own, in ``detector/loss.py``.
 """
 
 from __future__ import annotations
@@ -19,11 +17,8 @@ __all__ = [
     "conv2d",
     "global_avg_pool",
     "bias_add",
-    "softmax_cross_entropy",
     "binary_cross_entropy_logit",
-    "smooth_l1",
     "grad_reverse",
-    "gather_rows",
     "concat",
 ]
 
@@ -133,30 +128,6 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _op(x.data + b.data[None, :], (x, b), lambda g: (g, g.sum(axis=0)))
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Sum over the N rows of (N, K) logits of -log softmax[label], max-stabilized."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects (N,K) logits, got {logits.data.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.data.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match {n} logit rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"label out of range [0, {k}): {labels[(labels < 0) | (labels >= k)][0]}")
-
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    per_row = lse - z[np.arange(n), labels]
-
-    def backward_fn(g):
-        soft = np.exp(z)
-        soft /= soft.sum(axis=1, keepdims=True)
-        soft[np.arange(n), labels] -= 1.0
-        return (soft * g,)
-
-    return _op(np.asarray(per_row.sum(), dtype=logits.data.dtype), (logits,), backward_fn)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -186,41 +157,11 @@ def binary_cross_entropy_logit(logit: Tensor, target) -> Tensor:
     return _op(np.asarray(per.mean(), dtype=z.dtype), (logit,), backward_fn)
 
 
-def smooth_l1(pred: Tensor, target) -> Tensor:
-    """Sum of the Huber-style loss 0.5*e^2 for |e| < 1, |e| - 0.5 otherwise,
-    over e = pred - target; the target is a constant array."""
-    target = np.asarray(target, dtype=pred.data.dtype)
-    if target.shape != pred.data.shape:
-        raise ShapeError(f"smooth_l1 shapes differ: {pred.data.shape} vs {target.shape}")
-    e = pred.data - target
-    ae = np.abs(e)
-    per = np.where(ae < 1.0, 0.5 * e * e, ae - 0.5)
-    return _op(np.asarray(per.sum(), dtype=pred.data.dtype), (pred,),
-               lambda g: (np.clip(e, -1.0, 1.0) * g,))
-
-
 def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:
     """Identity forward; backward multiplies the upstream gradient by -lam."""
     if lam < 0:
         raise ValueError(f"grad_reverse lambda must be >= 0, got {lam}")
     return _op(x.data, (x,), lambda g: (-lam * g,))
-
-
-def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor by index array or slice; backward scatter-adds."""
-    idx = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.int64)
-    if x.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-D tensor, got {x.data.shape}")
-
-    def backward_fn(g):
-        dx = np.zeros_like(x.data)
-        if isinstance(idx, slice):
-            dx[idx] += g
-        else:
-            np.add.at(dx, idx, g)
-        return (dx,)
-
-    return _op(x.data[idx], (x,), backward_fn)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

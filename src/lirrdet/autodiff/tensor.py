@@ -16,7 +16,8 @@ loss raises ``TapeError``.
 The ops are the ones the detector runs: ``+``, ``-`` and ``*`` (two
 tensors of the same shape, or a tensor and a Python scalar; anything else
 raises ``ShapeError``), ``relu``, ``reshape``, ``transpose`` and
-``matmul``; ``functional.py`` holds the rest.
+``matmul``; ``functional.py`` holds the rest, and the detection loss is
+one op in ``detector/loss.py``.
 
 Precision is a per-thread mode (float32 by default, float64 for
 verification); see ``precision``. Grad mode and the tape are per thread as

@@ -1,11 +1,10 @@
 from .boxes import Detection, decode_boxes, encode_boxes, iou_matrix, nms
-from .anchors import AnchorGrid, LevelSpec, generate_anchors
+from .anchors import LevelSpec, generate_anchors
 from .matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from .model import Detector, ModelSpec
 from .inference import forward_detect, save_detections
 
 __all__ = [
-    "AnchorGrid",
     "Detection",
     "Detector",
     "IGNORE",

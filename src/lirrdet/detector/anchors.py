@@ -8,7 +8,7 @@ convolutions pack their output channels in the same per-cell order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +24,9 @@ class LevelSpec:
         return len(self.scales) * len(self.aspects)
 
 
-@dataclass
-class AnchorGrid:
-    boxes: np.ndarray            # (A, 4) corner format, float64
-    scale: np.ndarray            # (A,)
-    aspect: np.ndarray           # (A,)
-    levels: list = field(default_factory=list)       # LevelSpec per level
-    grid_shapes: list = field(default_factory=list)  # (H, W) per level
-    image_size: int = 0
-
-    def __len__(self):
-        return self.boxes.shape[0]
-
-
-def generate_anchors(image_size: int, levels) -> AnchorGrid:
-    """Lay one anchor per (cell, scale, aspect) on every level's grid.
+def generate_anchors(image_size: int, levels) -> np.ndarray:
+    """Lay one anchor per (cell, scale, aspect) on every level's grid, as
+    an (A, 4) float64 array of corner-format boxes in anchor order.
 
     Cell centers sit at (col + 0.5) * stride, (row + 0.5) * stride; a box
     of scale s and aspect a has width s * sqrt(a) and height s / sqrt(a).
@@ -47,13 +35,12 @@ def generate_anchors(image_size: int, levels) -> AnchorGrid:
     levels = list(levels)
     if not levels:
         raise ValueError("generate_anchors: need at least one level")
-    boxes, scales, aspects, grid_shapes = [], [], [], []
+    boxes = []
     for lv in levels:
         if lv.stride <= 0 or image_size % lv.stride != 0:
             raise ValueError(
                 f"generate_anchors: image size {image_size} not divisible by stride {lv.stride}")
         n = image_size // lv.stride
-        grid_shapes.append((n, n))
         for row in range(n):
             cy = (row + 0.5) * lv.stride
             for col in range(n):
@@ -63,13 +50,4 @@ def generate_anchors(image_size: int, levels) -> AnchorGrid:
                         w = s * math.sqrt(a)
                         h = s / math.sqrt(a)
                         boxes.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-                        scales.append(s)
-                        aspects.append(a)
-    return AnchorGrid(
-        boxes=np.asarray(boxes, dtype=np.float64),
-        scale=np.asarray(scales, dtype=np.float64),
-        aspect=np.asarray(aspects, dtype=np.float64),
-        levels=levels,
-        grid_shapes=grid_shapes,
-        image_size=image_size,
-    )
+    return np.asarray(boxes, dtype=np.float64)

@@ -40,7 +40,7 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
-    boxes = decode_boxes(loc.data[0], model.anchors.boxes, image_size=spec.image_size)
+    boxes = decode_boxes(loc.data[0], model.anchors, image_size=spec.image_size)
 
     # class-major, anchor-ascending: the order nms breaks score ties by
     k, a = np.nonzero(probs[:, 1:].T >= score_thr)

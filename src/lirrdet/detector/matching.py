@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import AnchorGrid
 from .boxes import encode_boxes, iou_matrix
 
 NEGATIVE = -1
@@ -31,7 +30,7 @@ class MatchResult:
     num_positive: int
 
 
-def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
+def match_anchors(gt_boxes, gt_classes, anchors: np.ndarray,
                   pos_thr: float = 0.5, neg_thr: float = 0.4) -> MatchResult:
     if pos_thr < neg_thr:
         raise ValueError(f"match_anchors: pos_thr {pos_thr} < neg_thr {neg_thr}")
@@ -47,7 +46,7 @@ def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
         return MatchResult(np.full(num_anchors, NEGATIVE, dtype=np.int64),
                            class_targets, box_targets, 0)
 
-    ious = iou_matrix(anchors.boxes, gt_boxes)  # (A, G)
+    ious = iou_matrix(anchors, gt_boxes)  # (A, G)
     best_gt = np.argmax(ious, axis=1)
     best_iou = ious[np.arange(num_anchors), best_gt]
     gt_index = np.where(best_iou >= pos_thr, best_gt, np.where(best_iou < neg_thr, NEGATIVE, IGNORE))
@@ -62,5 +61,5 @@ def match_anchors(gt_boxes, gt_classes, anchors: AnchorGrid,
     pos = gt_index >= 0
     class_targets[pos] = gt_classes[gt_index[pos]]
     class_targets[gt_index == IGNORE] = -1
-    box_targets[pos] = encode_boxes(gt_boxes[gt_index[pos]], anchors.boxes[pos])
+    box_targets[pos] = encode_boxes(gt_boxes[gt_index[pos]], anchors[pos])
     return MatchResult(gt_index, class_targets, box_targets, int(pos.sum()))

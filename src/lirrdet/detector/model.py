@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import Conv2d, Module, Tensor, concat
-from .anchors import AnchorGrid, LevelSpec, generate_anchors
+from .anchors import LevelSpec, generate_anchors
 
 # strides of the two backbone feature maps the heads read, finest first
 HEAD_STRIDES = (8, 16)
@@ -101,7 +101,7 @@ class Detector(Module):
         self.domain_heads = [HeadSet(feat_channels, spec.levels, spec.num_logits, rng=rng)
                              for _ in range(spec.num_domains)]
         self.spec = spec
-        self.anchors: AnchorGrid = generate_anchors(spec.image_size, spec.levels)
+        self.anchors = generate_anchors(spec.image_size, spec.levels)  # (A, 4)
 
     def features(self, x: Tensor):
         """Backbone; returns the feature maps at HEAD_STRIDES (8 and 16)."""

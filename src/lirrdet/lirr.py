@@ -63,7 +63,6 @@ from .autodiff import (
     backward,
     binary_cross_entropy_logit,
     default_dtype,
-    gather_rows,
     global_avg_pool,
     grad_reverse,
     no_grad,
@@ -155,11 +154,17 @@ def risk_loss(l_i: Tensor, l_d: Tensor, lambda_risk: float) -> Tensor:
     return l_i * (1.0 + lambda_risk) + l_d * lambda_risk - shift
 
 
-def _check_labeled(batch):
+def _check_labeled(batch, model):
+    """Every sample has a box, and every class id is a foreground class of the model."""
+    k = model.spec.num_classes
     for s in batch:
         boxes = getattr(s, "gt_boxes", None)
         if boxes is None or len(boxes) == 0:
             raise ValueError("unlabeled sample: every sample needs at least one box")
+        classes = np.asarray(s.gt_classes)
+        bad = classes[(classes < 1) | (classes > k)]
+        if bad.size:
+            raise ValueError(f"image_id {s.image_id}: class {bad[0]} is not in 1..{k}")
 
 
 def _stack_images(batch) -> Tensor:
@@ -176,7 +181,8 @@ def _risk_sum(feats, batch, matches, model, by_domain: bool):
     """Sum of per-sample normalized losses over a batch.
 
     Each sample is scored by the shared head, or with by_domain by the head
-    of its own domain; predict runs once per head over the whole batch.
+    of its own domain; predict runs once per head over the whole batch, and
+    each sample's loss is one op on that head's outputs.
     Returns (sum Tensor, cls float, loc float).
     """
     heads = [int(s.domain) if by_domain else "invariant" for s in batch]
@@ -185,20 +191,12 @@ def _risk_sum(feats, batch, matches, model, by_domain: bool):
     loc_val = 0.0
     for head in sorted(set(heads)):
         cls, loc = model.predict(feats, head)
-        num_anchors = cls.data.shape[1]
-        flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
-        flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
         for b, match in enumerate(matches):
-            if heads[b] != head:
-                continue
-            rows = slice(b * num_anchors, (b + 1) * num_anchors)
-            ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, rows),
-                                                gather_rows(flat_loc, rows), match)
-            norm = 1.0 / max(npos, 1)
-            sample = (ct + lt) * norm
-            cls_val += float(ct.data) * norm
-            loc_val += float(lt.data) * norm
-            total = sample if total is None else total + sample
+            if heads[b] == head:
+                sample, c, l = detection_loss_terms(cls, loc, b, match)
+                cls_val += c
+                loc_val += l
+                total = sample if total is None else total + sample
     return total, cls_val, loc_val
 
 
@@ -219,7 +217,7 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
         if not batch:
             raise ValueError(f"empty {name} batch")
     batches = list(named.values())
-    _check_labeled([s for batch in batches for s in batch])
+    _check_labeled([s for batch in batches for s in batch], model)
 
     feats = [model.features(_stack_images(batch)) for batch in batches]
     matches = [_matches(batch, model) for batch in batches]

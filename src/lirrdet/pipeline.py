@@ -184,19 +184,23 @@ class RunReport:
         return cls(**d)
 
 
-def _load_split(path: str, what: str):
+def _load_split(path: str, what: str, spec: ModelSpec):
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"{what} dataset not found: {path}")
     samples = load_dataset(p).samples
     if not samples:
         raise ValueError(f"{what} dataset has no samples: {path}")
+    shape = (spec.in_channels, spec.image_size, spec.image_size)
+    if samples[0].image.shape != shape:  # a dataset holds one image shape
+        raise ValueError(f"{what} dataset has images of shape {samples[0].image.shape}, "
+                         f"the model takes {shape}: {path}")
     samples.sort(key=lambda s: s.image_id)
     return samples
 
 
 def _load_training_split(config: ExperimentConfig, split: _Split):
-    samples = _load_split(getattr(config, split.path_field), split.what)
+    samples = _load_split(getattr(config, split.path_field), split.what, config.model_spec)
     if split.budgeted:
         if config.label_budget > len(samples):
             raise ValueError(
@@ -245,7 +249,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    test = _load_split(config.target_test_path, "target test")
+    test = _load_split(config.target_test_path, "target test", config.model_spec)
     splits = _MODE_SPLITS[config.mode]
     data = [_load_training_split(config, sp) for sp in splits]
 
@@ -318,5 +322,5 @@ def evaluate_checkpoint(config: ExperimentConfig, checkpoint_path=None) -> tuple
         model.load_state_dict(model_state)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: does not fit the configured model: {e.args[0]}") from e
-    test = _load_split(config.target_test_path, "target test")
+    test = _load_split(config.target_test_path, "target test", config.model_spec)
     return _evaluate_model(model, test)

@@ -30,7 +30,7 @@ def invariant_risk(batch, model) -> Tensor:
     batch = list(batch)
     if not batch:
         raise ValueError("invariant_risk: empty batch")
-    _check_labeled(batch)
+    _check_labeled(batch, model)
     feats = model.features(_stack_images(batch))
     total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, False)
     return total * (1.0 / len(batch))

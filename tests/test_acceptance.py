@@ -15,15 +15,15 @@ import pytest
 from lirrdet.autodiff import (SGD, Conv2d, Linear, Tensor, load_checkpoint,
                               matmul, no_grad, precision, save_checkpoint)
 from lirrdet.autodiff.functional import (bias_add, binary_cross_entropy_logit,
-                                         concat, conv2d, gather_rows,
-                                         global_avg_pool, grad_reverse,
-                                         smooth_l1, softmax_cross_entropy)
+                                         concat, conv2d, global_avg_pool,
+                                         grad_reverse)
 from lirrdet.cli import main
 from lirrdet.coco_eval import (EvalInput, RECALL_GRID, average_precision,
                                evaluate, match_detections)
 from lirrdet.detector.anchors import generate_anchors
 from lirrdet.detector.boxes import Detection, decode_boxes, encode_boxes
-from lirrdet.detector.matching import IGNORE, NEGATIVE, match_anchors
+from lirrdet.detector.loss import detection_loss_terms
+from lirrdet.detector.matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.model import Detector, ModelSpec
 from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
 from lirrdet.pipeline import ExperimentConfig, run_experiment, evaluate_checkpoint
@@ -32,6 +32,7 @@ from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, make_benchmark,
                               SOURCE_DOMAIN, TARGET_DOMAIN)
 
 from _box_ref import iou
+from _risk_ref import gather_rows, smooth_l1, softmax_cross_entropy
 from test_boxes import nms_dets
 
 
@@ -102,6 +103,17 @@ def op_cases(rng):
     sl_delta = np.where(rng.random((5, 4)) < 0.5,
                         rng.uniform(-0.7, 0.7, (5, 4)),
                         _signed(rng, (5, 4), 1.3, 2.0))
+    # sample 1 of a (2, 8) batch: 2 positives and 4 negatives, all of which are
+    # mined (4 <= 3 * 2), so no step changes the sampled set; the positives'
+    # residuals stay away from the smooth-l1 kink
+    dl_cls = rng.normal(size=(2, 8, 3))
+    dl_loc = rng.normal(size=(2, 8, 4))
+    dl_gt = np.array([0, NEGATIVE, IGNORE, 1, NEGATIVE, NEGATIVE, IGNORE, NEGATIVE])
+    dl_targets = np.zeros((8, 4))
+    dl_targets[[0, 3]] = dl_loc[1, [0, 3]] - np.where(rng.random((2, 4)) < 0.5,
+                                                      rng.uniform(-0.7, 0.7, (2, 4)),
+                                                      _signed(rng, (2, 4), 1.3, 2.0))
+    dl_match = MatchResult(dl_gt, np.array([1, 0, -1, 2, 0, 0, -1, 0]), dl_targets, 2)
 
     cases = [
         ("add", x34, lambda x: dot(x + Tensor(c34))),
@@ -137,6 +149,10 @@ def op_cases(rng):
          lambda x: dot(concat([x, x * 2.0], axis=0))),
         ("concat_axis1", x34,
          lambda x: dot(concat([x, Tensor(c34)], axis=1))),
+        ("detection_loss_cls", dl_cls,
+         lambda z: detection_loss_terms(z, Tensor(dl_loc), 1, dl_match)[0]),
+        ("detection_loss_loc", dl_loc,
+         lambda x: detection_loss_terms(Tensor(dl_cls), x, 1, dl_match)[0]),
     ]
     return cases
 
@@ -269,8 +285,7 @@ def test_criterion_3_breakdown_identities_and_reduced_objective():
         identities_ok = worst < 1e-6
 
         # zero-weight run against an independently coded supervised loop
-        from lirrdet.autodiff.functional import gather_rows as gr
-        from lirrdet.detector.loss import detection_loss_terms
+        from _risk_ref import detection_loss_terms, gather_rows as gr
         from lirrdet.detector.matching import match_anchors as match
 
         def manual_supervised_loss(batches, model):
@@ -336,7 +351,7 @@ def test_criterion_3_breakdown_identities_and_reduced_objective():
 
 def ref_match_anchors(gt_boxes, gt_classes, anchors):
     """Direct transcription of the assignment rules, all-python loops."""
-    A = len(anchors.boxes)
+    A = len(anchors)
     G = len(gt_boxes)
     gt_index = np.full(A, NEGATIVE, dtype=np.int64)
     if G == 0:
@@ -345,7 +360,7 @@ def ref_match_anchors(gt_boxes, gt_classes, anchors):
     for g in range(G):
         best_a, best = 0, -1.0
         for a in range(A):
-            v = iou(anchors.boxes[a], gt_boxes[g])
+            v = iou(anchors[a], gt_boxes[g])
             if v > best:
                 best, best_a = v, a
         if best_a not in forced:
@@ -356,7 +371,7 @@ def ref_match_anchors(gt_boxes, gt_classes, anchors):
             continue
         best_g, best = 0, -1.0
         for g in range(G):
-            v = iou(anchors.boxes[a], gt_boxes[g])
+            v = iou(anchors[a], gt_boxes[g])
             if v > best:
                 best, best_g = v, g
         if best >= 0.5:

@@ -4,7 +4,6 @@ import pytest
 from lirrdet.detector import (
     IGNORE,
     NEGATIVE,
-    AnchorGrid,
     LevelSpec,
     encode_boxes,
     generate_anchors,
@@ -18,8 +17,8 @@ from test_boxes import random_boxes, ref_iou
 class TestGenerateAnchors:
     def test_single_anchor_covers_image(self):
         grid = generate_anchors(8, [LevelSpec(stride=8, scales=(8.0,), aspects=(1.0,))])
-        assert len(grid) == 1
-        np.testing.assert_allclose(grid.boxes[0], [0, 0, 8, 8])
+        assert grid.shape == (1, 4) and grid.dtype == np.float64
+        np.testing.assert_allclose(grid[0], [0, 0, 8, 8])
 
     def test_two_aspects_on_2x2_grid(self):
         grid = generate_anchors(16, [LevelSpec(stride=8, scales=(8.0,), aspects=(1.0, 2.0))])
@@ -48,12 +47,7 @@ class TestGenerateAnchors:
             for s, a in sa:
                 w, h = s * np.sqrt(a), s / np.sqrt(a)
                 expected.append([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
-        np.testing.assert_allclose(grid.boxes, np.array(expected), atol=1e-12)
-
-    def test_metadata_alignment(self):
-        grid = generate_anchors(16, [LevelSpec(8, (8.0, 10.0), (1.0, 2.0))])
-        widths = grid.boxes[:, 2] - grid.boxes[:, 0]
-        np.testing.assert_allclose(widths, grid.scale * np.sqrt(grid.aspect), atol=1e-9)
+        np.testing.assert_allclose(grid, np.array(expected), atol=1e-12)
 
 
 def brute_force_match(gt_boxes, anchor_boxes, pos_thr, neg_thr):
@@ -102,7 +96,7 @@ class TestMatchAnchors:
     def test_gt_equal_to_anchor(self):
         grid = _loose_grid()
         pick = 137
-        gt = grid.boxes[pick:pick + 1].copy()
+        gt = grid[pick:pick + 1].copy()
         m = match_anchors(gt, [1], grid)
         assert m.gt_index[pick] == 0
         np.testing.assert_allclose(m.box_targets[pick], np.zeros(4), atol=1e-9)
@@ -110,9 +104,8 @@ class TestMatchAnchors:
 
     def test_threshold_boundaries(self):
         # IoUs against the 10x10 GT are exact: 100/100, 50/100, 40/100, 39/100
-        boxes = np.array([[0, 0, 10, 10], [0, 0, 10, 5], [0, 0, 10, 4], [0, 0, 10, 3.9],
-                          [45, 45, 55, 55]], dtype=np.float64)
-        grid = AnchorGrid(boxes, np.zeros(5), np.ones(5))
+        grid = np.array([[0, 0, 10, 10], [0, 0, 10, 5], [0, 0, 10, 4], [0, 0, 10, 3.9],
+                         [45, 45, 55, 55]], dtype=np.float64)
         gts = np.array([[0, 0, 10, 10], [40, 40, 50, 50]], dtype=np.float64)
         m = match_anchors(gts, [1, 2], grid, pos_thr=0.5, neg_thr=0.4)
         # anchor 4 is GT 1's best at IoU 25/175 < neg_thr and stays positive
@@ -121,10 +114,8 @@ class TestMatchAnchors:
         assert m.num_positive == 3
 
     def test_empty_anchor_set_rejected(self):
-        grid = _loose_grid()
-        grid.boxes = grid.boxes[:0]
         with pytest.raises(ValueError):
-            match_anchors(np.array([[0, 0, 8, 8.0]]), [1], grid)
+            match_anchors(np.array([[0, 0, 8, 8.0]]), [1], _loose_grid()[:0])
 
     def test_threshold_order_validated(self):
         with pytest.raises(ValueError):
@@ -140,11 +131,11 @@ class TestMatchAnchors:
         gts = random_boxes(rng, num_g, size=32, min_side=3)
         classes = rng.integers(1, 3, size=num_g)
         m = match_anchors(gts, classes, grid, pos_thr=0.5, neg_thr=0.4)
-        want = brute_force_match(gts, grid.boxes, 0.5, 0.4)
+        want = brute_force_match(gts, grid, 0.5, 0.4)
         np.testing.assert_array_equal(m.gt_index, want)
         # encoded targets rebuilt independently for each positive
         for a in np.flatnonzero(m.gt_index >= 0):
-            expect = encode_boxes(gts[m.gt_index[a]], grid.boxes[a])
+            expect = encode_boxes(gts[m.gt_index[a]], grid[a])
             np.testing.assert_allclose(m.box_targets[a], expect, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -154,7 +145,7 @@ class TestMatchAnchors:
         gts = random_boxes(rng, 5, size=64, min_side=4)
         m = match_anchors(gts, np.ones(5, dtype=int), grid)
         from lirrdet.detector import iou_matrix
-        overlaps = iou_matrix(grid.boxes, gts)
+        overlaps = iou_matrix(grid, gts)
         for g in range(5):
             if overlaps[:, g].max() > 0:
                 assert np.any(m.gt_index == g)
@@ -166,6 +157,6 @@ class TestMatchAnchors:
         m = match_anchors(gts, np.ones(6, dtype=int), grid, pos_thr=0.5, neg_thr=0.4)
         for a in np.flatnonzero(m.gt_index >= 0):
             g = m.gt_index[a]
-            ok = iou(grid.boxes[a], gts[g]) >= 0.5
-            is_argmax = a == int(np.argmax([iou(b, gts[g]) for b in grid.boxes]))
+            ok = iou(grid[a], gts[g]) >= 0.5
+            is_argmax = a == int(np.argmax([iou(b, gts[g]) for b in grid]))
             assert ok or is_argmax

@@ -9,8 +9,9 @@ dropped or added, and arbitrary JSON values) and raw bytes go through
 they get, and an accepted config must be well formed; the pipeline tests
 cover the real runs. The last tests run the real commands, `gen` and
 `train` in a child process with a time limit and an address-space limit:
-an empty split and a size that cannot be allocated must each end in one
-`error:` line.
+an empty split, a split whose images do not fit the model, a class id the
+model does not have and a size that cannot be allocated must each end in
+one `error:` line.
 """
 
 import copy
@@ -35,8 +36,8 @@ import lirrdet
 from lirrdet import cli, container
 from lirrdet.lirr import DomainLabel
 from lirrdet.pipeline import ExperimentConfig, RunReport
-from lirrdet.synthgen import (BenchmarkConfig, BenchmarkSplits, Sample, SceneSpec, make_benchmark,
-                              save_dataset)
+from lirrdet.synthgen import (BenchmarkConfig, BenchmarkSplits, Sample, SceneSpec, load_dataset,
+                              make_benchmark, save_dataset)
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -346,3 +347,47 @@ def test_train_too_many_steps_for_memory_is_one_error_line(splits_dir, tmp_path)
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "steps": 10**10}))
     code, err = _run_capped(["train", "--config", str(cfg)])
     assert code == 1 and err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
+
+def _no_loss_lines(tmp_path) -> bool:
+    losses = tmp_path / "run" / "losses.jsonl"
+    return not losses.exists() or losses.read_text() == ""
+
+
+@pytest.mark.parametrize("split_size", [16, 64])
+@pytest.mark.parametrize("key,what", [("source_path", "source train"),
+                                      ("target_train_path", "target train"),
+                                      ("target_test_path", "target test")])
+def test_train_on_a_split_of_the_wrong_image_size_is_one_error_line(splits_dir, tmp_path, key, what,
+                                                                      split_size):
+    # a split smaller than the model used to end in an IndexError at step 1,
+    # and a larger one trained against misaligned anchors until the first eval
+    split = tmp_path / "other_size.bin"
+    save_dataset(make_benchmark(BenchmarkConfig(scene=SceneSpec(size=split_size, seed=3), source_count=2,
+                                                target_train_small=2, target_train_full=2,
+                                                target_test_count=2)).target_train_full, split)
+    cfg = _train_config(splits_dir, tmp_path, **{key: split})
+    code, err = _run(["train", "--config", str(cfg)])
+    assert code == 1 and err == (f"error: {what} dataset has images of shape (1, {split_size}, {split_size}), "
+                                 f"the model takes (1, 32, 32): {split}\n"), err
+    assert _no_loss_lines(tmp_path)
+
+
+def test_eval_on_a_split_of_the_wrong_image_size_is_one_error_line(splits_dir, tmp_path):
+    assert _run(["train", "--config", str(_train_config(splits_dir, tmp_path))]) == (0, "")
+    cfg = _train_config(splits_dir, tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "image_size": 16}))
+    code, err = _run(["eval", "--config", str(cfg)])
+    assert code == 1 and err == (f"error: target test dataset has images of shape (1, 32, 32), the model "
+                                 f"takes (1, 16, 16): {splits_dir / 'target_test.bin'}\n"), err
+
+
+@pytest.mark.parametrize("bad", [0, 5])
+def test_train_on_a_class_the_model_lacks_is_one_error_line(splits_dir, tmp_path, bad):
+    # class 5 used to fail in the loss with no file named, and class 0 trained as background
+    samples = load_dataset(splits_dir / "source_train.bin").samples
+    samples[2].gt_classes = np.full(len(samples[2].gt_classes), bad)
+    save_dataset(samples, tmp_path / "bad.bin")
+    cfg = _train_config(splits_dir, tmp_path, source_path=str(tmp_path / "bad.bin"))
+    code, err = _run(["train", "--config", str(cfg)])
+    assert code == 1 and err == f"error: image_id {samples[2].image_id}: class {bad} is not in 1..1\n", err

@@ -39,9 +39,10 @@ def small_model(seed=0):
 
 
 def detection_loss(cls_logits, box_offsets, match):
-    """One image's loss as the training objective normalizes it."""
-    cls_loss, loc_loss, npos = detection_loss_terms(cls_logits, box_offsets, match)
-    return (cls_loss + loc_loss) * (1.0 / max(npos, 1))
+    """One image's loss over (A, K) logits and (A, 4) offsets, as the
+    training objective normalizes it."""
+    a, k = cls_logits.data.shape
+    return detection_loss_terms(cls_logits.reshape(1, a, k), box_offsets.reshape(1, a, 4), 0, match)[0]
 
 
 class TestModelWiring:
@@ -213,7 +214,7 @@ def reference_detect(model, image, score_thr=0.05):
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
-    boxes = decode_boxes(loc.data[0], model.anchors.boxes, image_size=model.spec.image_size)
+    boxes = decode_boxes(loc.data[0], model.anchors, image_size=model.spec.image_size)
     dets = [Detection(tuple(boxes[a].tolist()), c, float(probs[a, c]))
             for c in range(1, probs.shape[1]) for a in range(len(boxes))
             if probs[a, c] >= score_thr]

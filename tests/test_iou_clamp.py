@@ -14,7 +14,7 @@ import pytest
 
 from lirrdet import coco_eval
 from lirrdet.coco_eval import EvalInput, evaluate
-from lirrdet.detector import AnchorGrid, LevelSpec, boxes, generate_anchors, match_anchors, matching, nms
+from lirrdet.detector import LevelSpec, boxes, generate_anchors, match_anchors, matching, nms
 
 from test_anchors_matching import brute_force_match
 from test_boxes import benchmark_size_dets, random_boxes, small_dets
@@ -62,15 +62,14 @@ def _match_inputs():
         yield grid, random_boxes(rng, num_g, size=32, min_side=3), rng.integers(1, 3, size=num_g)
     gts = np.array([[-0.0, -0.0, 8.0, 8.0], [8.0, 0.0, 16.0, 8.0], [16.0, 16.0, 32.0, 32.0]])
     yield grid, gts, np.array([1, 2, 1])
-    tiles = AnchorGrid(EDGE_BOXES, np.zeros(len(EDGE_BOXES)), np.ones(len(EDGE_BOXES)))
-    yield tiles, EDGE_BOXES[[1, 5, 8]], np.array([2, 1, 2])
+    yield EDGE_BOXES, EDGE_BOXES[[1, 5, 8]], np.array([2, 1, 2])
 
 
 @pytest.mark.parametrize("case", range(10))
 def test_match_result_bytes_unchanged(case, monkeypatch):
     grid, gts, classes = list(_match_inputs())[case]
     got = match_anchors(gts, classes, grid, pos_thr=0.5, neg_thr=0.4)
-    assert got.gt_index.tobytes() == brute_force_match(gts, grid.boxes, 0.5, 0.4).tobytes()
+    assert got.gt_index.tobytes() == brute_force_match(gts, grid, 0.5, 0.4).tobytes()
     monkeypatch.setattr(matching, "iou_matrix", clip_iou_matrix)
     was = match_anchors(gts, classes, grid, pos_thr=0.5, neg_thr=0.4)
     for field in ("gt_index", "class_targets", "box_targets"):

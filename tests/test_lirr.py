@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from lirrdet.autodiff import (
@@ -7,14 +8,14 @@ from lirrdet.autodiff import (
     Tensor,
     backward,
     binary_cross_entropy_logit,
-    gather_rows,
     global_avg_pool,
     grad_reverse,
     matmul,
     no_grad,
     precision,
 )
-from lirrdet.detector import match_anchors
+from lirrdet.detector import IGNORE, NEGATIVE, MatchResult, match_anchors
+from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.lirr import (
     _matches,
     _objective,
@@ -30,6 +31,7 @@ from lirrdet.lirr import (
     train_step,
 )
 
+from _risk_ref import detection_loss_terms as ref_loss_terms, gather_rows, risk_sum, sample_loss
 from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_detection_loss
 
 
@@ -377,6 +379,22 @@ class TestTrainStep:
         assert params_equal(c, before_c)
         assert all(p.grad is None for p in c.parameters())
 
+    @pytest.mark.parametrize("bad", [0, 5])
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_class_the_model_lacks_is_rejected_by_image_id(self, bad, supervised):
+        # SMALL_SPEC has one foreground class; 0 is background, 5 has no logit
+        model = small_model(2)
+        c = DomainClassifier(SMALL_SPEC.widths[-1], rng=np.random.default_rng(3))
+        src, tgt = make_batches(19)
+        tgt[1].image_id = 1017
+        tgt[1].gt_classes = np.array([bad])
+        opt = SGD(model.parameters() + c.parameters(), lr=0.05)
+        before = clone_params(model)
+        with pytest.raises(ValueError, match=f"^image_id 1017: class {bad} is not in 1..1$"):
+            train_step(None if supervised else src, tgt, model, None if supervised else c, opt,
+                       LirrConfig())
+        assert params_equal(model, before)
+
     def test_zero_risk_weight_freezes_domain_heads(self):
         model = small_model(2)
         c = DomainClassifier(SMALL_SPEC.widths[-1], rng=np.random.default_rng(3))
@@ -440,8 +458,9 @@ class TestReducedObjectiveIdentity:
                     for b, s in enumerate(batch):
                         rows = np.arange(b * n_anchors, (b + 1) * n_anchors)
                         match = match_anchors(s.gt_boxes, s.gt_classes, model.anchors)
-                        one = detection_loss(gather_rows(flat_c, rows),
-                                             gather_rows(flat_l, rows), match)
+                        ct, lt, npos = ref_loss_terms(gather_rows(flat_c, rows),
+                                                      gather_rows(flat_l, rows), match)
+                        one = (ct + lt) * (1.0 / max(npos, 1))
                         part = one if part is None else part + one
                     sums.append(part)
                 total = (sums[0] + sums[1]) * (1.0 / (len(src) + len(tgt)))
@@ -455,6 +474,84 @@ class TestReducedObjectiveIdentity:
                 assert bd.l_total == base, f"diverged at step {step}"
             for p_a, p_b in zip(model_a.parameters(), model_b.parameters()):
                 np.testing.assert_array_equal(p_a.data, p_b.data)
+
+
+@st.composite
+def risk_cases(draw):
+    """Head outputs of two heads and the matches of a mixed-domain batch.
+
+    Each sample is random, has one positive, or has every anchor IGNORE.
+    Logits up to 200 in size saturate the softmax, and some box targets
+    equal the first head's offsets, so gradients hold zeros of both signs
+    before the scatter-add.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, a, k = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    scale = draw(st.sampled_from([0.5, 4.0, 200.0]))
+    outputs = [(rng.normal(size=(b, a, k)) * scale, rng.normal(scale=1.5, size=(b, a, 4)))
+               for _ in range(2)]
+    matches = []
+    for j, kind in enumerate(draw(st.lists(st.sampled_from(["random", "one_positive", "all_ignored"]),
+                                           min_size=b, max_size=b))):
+        gt = rng.choice([0, 1, NEGATIVE, IGNORE], size=a)
+        if kind == "one_positive":
+            gt = rng.choice([NEGATIVE, IGNORE], size=a)
+            gt[rng.integers(a)] = 0
+        elif kind == "all_ignored":
+            gt = np.full(a, IGNORE)
+        pos = gt >= 0
+        classes = np.where(pos, rng.integers(1, k, size=a), np.where(gt == NEGATIVE, 0, -1))
+        exact = rng.random(a) < 0.3
+        targets = np.where(exact[:, None], outputs[0][1][j], rng.normal(scale=1.5, size=(a, 4)))
+        matches.append(MatchResult(gt, classes, np.where(pos[:, None], targets, 0.0), int(pos.sum())))
+    domains = rng.integers(0, 2, size=b)
+    return outputs, matches, domains, draw(st.sampled_from([1.0, -0.7]))
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True) \
+        and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestRiskMatchesReference:
+    """The one-op loss and _risk_sum against the gather/CE/smooth-L1 path they replace."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=risk_cases(), dtype=st.sampled_from(["float32", "float64"]))
+    def test_sample_loss_bits(self, case, dtype):
+        outputs, matches, _, weight = case
+        cls0, loc0 = outputs[0]
+        with precision(dtype):
+            for b, match in enumerate(matches):
+                got = []
+                for loss_fn in (detection_loss_terms, sample_loss):
+                    cls, loc = Tensor(cls0, requires_grad=True), Tensor(loc0, requires_grad=True)
+                    loss, c, l = loss_fn(cls, loc, b, match)
+                    backward(loss * weight)
+                    got.append((loss.data, c, l, cls.grad, loc.grad))
+                for x, y in zip(*got):
+                    assert same_bits(x, y)
+                if np.all(match.gt_index == IGNORE):  # a tracked zero with zero gradients
+                    assert float(got[0][0]) == 0.0 and not got[0][3].any() and not got[0][4].any()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=risk_cases(), dtype=st.sampled_from(["float32", "float64"]),
+           by_domain=st.booleans())
+    def test_risk_sum_bits(self, case, dtype, by_domain):
+        outputs, matches, domains, weight = case
+        batch = [SimpleNamespace(domain=DomainLabel(int(d))) for d in domains]
+        with precision(dtype):
+            got = []
+            for risk_fn in (_risk_sum, risk_sum):
+                heads = [(Tensor(c, requires_grad=True), Tensor(l, requires_grad=True))
+                         for c, l in outputs]
+                model = SimpleNamespace(predict=lambda feats, head: heads[0 if head == "invariant" else head])
+                total, c, l = risk_fn(None, batch, matches, model, by_domain)
+                backward(total * weight)
+                got.append([total.data, c, l] + [t.grad for pair in heads for t in pair])
+            for x, y in zip(*got):
+                assert (x is None and y is None) or same_bits(x, y)
 
 
 class TestAdversarialDynamics:

@@ -196,7 +196,7 @@ class TestTrainingSmoke:
         l2 = Linear(8, 2, rng=rng)
         params = [p for _, p in l1.named_parameters()] + [p for _, p in l2.named_parameters()]
         opt = SGD(params, lr=0.5, momentum=0.9)
-        from lirrdet.autodiff import softmax_cross_entropy
+        from _risk_ref import softmax_cross_entropy
 
         loss_val = None
         for _ in range(300):

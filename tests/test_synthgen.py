@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -530,8 +531,17 @@ class TestSaveLoad:
         (lambda rec: b"\xff", "annotation block is not UTF-8"),
         (lambda rec: b"[" * 100_000, "record 1 is not valid JSON"),
         (lambda rec: {**rec, "image_id": 0}, "record 1: image_id 0 repeats record 0"),
+        (lambda rec: {**rec, "boxes": [[1.0, 2.0, math.nan, 8.0]], "classes": [1]},
+         "record 1: key 'boxes' holds \\[1.0, 2.0, nan, 8.0\\]"),
+        (lambda rec: {**rec, "boxes": [[1.0, 2.0, 6.0, 8.0], [-math.inf, 2.0, 6.0, 8.0]], "classes": [1, 1]},
+         "record 1: key 'boxes' holds \\[-inf, 2.0, 6.0, 8.0\\]"),
+        (lambda rec: {**rec, "boxes": [[4.0, 2.0, 4.0, 8.0]], "classes": [1]},
+         "record 1: key 'boxes' holds \\[4.0, 2.0, 4.0, 8.0\\]"),
+        (lambda rec: {**rec, "boxes": [[1.0, 9.0, 6.0, 8.0]], "classes": [1]},
+         "record 1: key 'boxes' holds \\[1.0, 9.0, 6.0, 8.0\\]"),
     ], ids=["array", "bad-json", "no-boxes", "no-image_id", "domain-7", "boxes-3", "image_id-str",
-            "domain-true", "classes-count", "not-utf8", "too-deep", "image_id-repeated"])
+            "domain-true", "classes-count", "not-utf8", "too-deep", "image_id-repeated", "boxes-nan",
+            "boxes-inf", "boxes-zero-width", "boxes-y2-below-y1"])
     def test_bad_annotation_record(self, tmp_path, edit, match):
         import json
         samples, _ = self.make_small_dataset()
