@@ -14,7 +14,6 @@ from .functional import (
     bias_add,
     binary_cross_entropy_logit,
     grad_reverse,
-    concat,
 )
 from .nn import Parameter, Module, Conv2d, Linear, he_normal
 from .optim import SGD
@@ -24,6 +23,6 @@ __all__ = [
     "Tensor", "ShapeError", "TapeError", "backward", "no_grad",
     "precision", "default_dtype", "matmul",
     "conv2d", "global_avg_pool", "bias_add", "binary_cross_entropy_logit",
-    "grad_reverse", "concat", "Parameter", "Module", "Conv2d", "Linear",
+    "grad_reverse", "Parameter", "Module", "Conv2d", "Linear",
     "he_normal", "SGD", "save_checkpoint", "load_checkpoint", "CheckpointError",
 ]

@@ -1,5 +1,5 @@
-"""Neural-network operations on tensors: convolution, pooling, the domain
-classifier's loss, gradient reversal and concatenation.
+"""Neural-network operations on tensors: convolution, pooling, bias
+addition, the domain classifier's loss and gradient reversal.
 
 Every op here builds its output through ``_op`` from ``tensor.py``, as the
 elementwise ops do: forward values are plain numpy, and a backward rule is
@@ -19,7 +19,6 @@ __all__ = [
     "bias_add",
     "binary_cross_entropy_logit",
     "grad_reverse",
-    "concat",
 ]
 
 
@@ -163,20 +162,3 @@ def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:
         raise ValueError(f"grad_reverse lambda must be >= 0, got {lam}")
     return _op(x.data, (x,), lambda g: (-lam * g,))
 
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an axis; backward splits the gradient."""
-    if not tensors:
-        raise ShapeError("concat of an empty list")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        slicer = [slice(None)] * g.ndim
-        grads = []
-        for i in range(len(sizes)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(slicer)])
-        return tuple(grads)
-
-    return _op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward_fn)

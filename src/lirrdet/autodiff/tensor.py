@@ -14,10 +14,11 @@ swept graph are no longer tracked, so a second ``backward`` from the same
 loss raises ``TapeError``.
 
 The ops are the ones the detector runs: ``+``, ``-`` and ``*`` (two
-tensors of the same shape, or a tensor and a Python scalar; anything else
-raises ``ShapeError``), ``relu``, ``reshape``, ``transpose`` and
-``matmul``; ``functional.py`` holds the rest, and the detection loss is
-one op in ``detector/loss.py``.
+tensors of the same shape, or a tensor on the left and a Python scalar on
+the right; a scalar on the left is a ``TypeError``, anything else raises
+``ShapeError``), ``relu``, ``reshape`` and ``matmul``. ``functional.py`` holds the rest; the detection loss and the
+anchor-order layout of the head outputs are one op each, in
+``detector/loss.py`` and ``detector/model.py``.
 
 Precision is a per-thread mode (float32 by default, float64 for
 verification); see ``precision``. Grad mode and the tape are per thread as
@@ -118,14 +119,6 @@ class Tensor:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -137,15 +130,11 @@ class Tensor:
     def __add__(self, other):
         return _binary(self, other, lambda a, b: a + b, lambda g, a, b: (g, g), "add")
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return _binary(self, other, lambda a, b: a - b, lambda g, a, b: (g, -g), "sub")
 
     def __mul__(self, other):
         return _binary(self, other, lambda a, b: a * b, lambda g, a, b: (g * b, g * a), "mul")
-
-    __rmul__ = __mul__
 
     def relu(self) -> "Tensor":
         a = self.data
@@ -158,12 +147,6 @@ class Tensor:
             shape = tuple(shape[0])
         src_shape = self.data.shape
         return _op(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-        return _op(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
 
 
 def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:

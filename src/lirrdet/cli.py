@@ -3,8 +3,9 @@
 gen writes the four benchmark splits as dataset files, train runs one
 experiment from a flat JSON config, eval recomputes metrics from a saved
 checkpoint, and report merges finished runs into one comparison table.
-Operational failures (missing files, bad configs, a non-finite loss)
-print an error naming the cause and exit nonzero.
+Operational failures (missing files, an output path that is not a
+directory, bad configs, a non-finite loss) print one error line naming the
+cause and exit nonzero.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .autodiff import CheckpointError
 from .container import atomic_open
 from .pipeline import ExperimentConfig, Mode, RunReport, evaluate_checkpoint, run_experiment
 from .synthgen import (BenchmarkConfig, DatasetError, RenderError, benchmark_config_from_dict,
@@ -40,9 +40,9 @@ def _cmd_gen(args) -> int:
         cfg = benchmark_config_from_dict(_read_config(args.config))
     if args.seed is not None:
         cfg = replace(cfg, scene=replace(cfg.scene, seed=args.seed))
-    splits = make_benchmark(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # fail on a bad --out before rendering
+    splits = make_benchmark(cfg)
     for name, samples in zip(_SPLIT_FILES, (splits.source_train, splits.target_train_small,
                                             splits.target_train_full, splits.target_test)):
         save_dataset(samples, out / name, config=cfg.to_dict())
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, RuntimeError, DatasetError, CheckpointError,
+    except (OSError, ValueError, RuntimeError, DatasetError,  # CheckpointError is a RuntimeError
             RenderError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,17 +2,20 @@
 
 Three head sets consume the same backbone features: one trained on every
 domain, plus one per domain selected by an integer domain id. Head output
-channels pack as anchor-within-cell major, class minor, so the flattened
-(N, H*W*A, K) layout lines up with the anchor grid's ordering.
+channels pack as anchor-within-cell major, class minor. ``anchor_order``
+lays the per-level outputs of one kind out as one (N, A, width) tensor in
+the anchor grid's order (level, row, column, anchor within the cell), as
+one tape op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..autodiff import Conv2d, Module, Tensor, concat
+from ..autodiff import Conv2d, Module, Tensor
+from ..autodiff.tensor import _op
 from .anchors import LevelSpec, generate_anchors
 
 # strides of the two backbone feature maps the heads read, finest first
@@ -52,12 +55,24 @@ class ModelSpec:
         return self.num_classes + 1
 
 
-def _flatten_head(out: Tensor, per_cell: int, width: int) -> Tensor:
-    # (N, A*W, H, Wd) -> (N, H*Wd*A, W) matching anchor order within a level
-    n, _, h, w = out.data.shape
-    return (out.reshape(n, per_cell, width, h, w)
-               .transpose(0, 3, 4, 1, 2)
-               .reshape(n, h * w * per_cell, width))
+def anchor_order(outs, width: int) -> Tensor:
+    """Per-level head outputs (N, per_cell*width, H, W) as one (N, A, width)
+    tensor in anchor order: level, then row, then column, then anchor within
+    the cell. Each level's gradient is the same strided view of the upstream
+    gradient that a reshape, transpose, reshape and concat chain would give,
+    so the conv bias gradient's sum rounds as it would."""
+    n = outs[0].data.shape[0]
+    dims = [(o.data.shape[1] // width, *o.data.shape[2:]) for o in outs]  # (per_cell, H, W)
+    ends = np.cumsum([pc * h * w for pc, h, w in dims])
+
+    def backward_fn(g):
+        return tuple(g[:, end - pc * h * w:end].reshape(n, h, w, pc, width)
+                     .transpose(0, 3, 4, 1, 2).reshape(n, pc * width, h, w)
+                     for (pc, h, w), end in zip(dims, ends))
+
+    data = np.concatenate([o.data.reshape(n, pc, width, h, w).transpose(0, 3, 4, 1, 2)
+                           .reshape(n, h * w * pc, width) for o, (pc, h, w) in zip(outs, dims)], axis=1)
+    return _op(data, tuple(outs), backward_fn)
 
 
 class PredictionHead(Module):
@@ -66,27 +81,20 @@ class PredictionHead(Module):
     def __init__(self, in_ch: int, per_cell: int, num_logits: int, *, rng):
         self.cls = Conv2d(in_ch, per_cell * num_logits, 3, padding=1, rng=rng)
         self.loc = Conv2d(in_ch, per_cell * 4, 3, padding=1, rng=rng)
-        self.per_cell = per_cell
-        self.num_logits = num_logits
-
-    def __call__(self, feat: Tensor):
-        cls = _flatten_head(self.cls(feat), self.per_cell, self.num_logits)
-        loc = _flatten_head(self.loc(feat), self.per_cell, 4)
-        return cls, loc
 
 
 class HeadSet(Module):
-    """One prediction head per feature level, concatenated over anchors."""
+    """One prediction head per feature level; outputs in anchor order."""
 
     def __init__(self, feat_channels, levels, num_logits: int, *, rng):
         self.heads = [PredictionHead(c, lv.anchors_per_cell, num_logits, rng=rng)
                       for c, lv in zip(feat_channels, levels)]
+        self.num_logits = num_logits
 
     def __call__(self, feats):
-        outs = [head(f) for head, f in zip(self.heads, feats)]
-        cls = concat([c for c, _ in outs], axis=1)
-        loc = concat([l for _, l in outs], axis=1)
-        return cls, loc
+        outs = [(head.cls(f), head.loc(f)) for head, f in zip(self.heads, feats)]
+        return (anchor_order([c for c, _ in outs], self.num_logits),
+                anchor_order([l for _, l in outs], 4))
 
 
 class Detector(Module):

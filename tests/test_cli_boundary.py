@@ -11,7 +11,8 @@ cover the real runs. The last tests run the real commands, `gen` and
 `train` in a child process with a time limit and an address-space limit:
 an empty split, a split whose images do not fit the model, a class id the
 model does not have and a size that cannot be allocated must each end in
-one `error:` line.
+one `error:` line. So must an `--out` that names a file or a path under
+one, and a `--config` that names a directory.
 """
 
 import copy
@@ -33,7 +34,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lirrdet
-from lirrdet import cli, container
+from lirrdet import cli, container, pipeline
 from lirrdet.lirr import DomainLabel
 from lirrdet.pipeline import ExperimentConfig, RunReport
 from lirrdet.synthgen import (BenchmarkConfig, BenchmarkSplits, Sample, SceneSpec, load_dataset,
@@ -391,3 +392,33 @@ def test_train_on_a_class_the_model_lacks_is_one_error_line(splits_dir, tmp_path
     cfg = _train_config(splits_dir, tmp_path, source_path=str(tmp_path / "bad.bin"))
     code, err = _run(["train", "--config", str(cfg)])
     assert code == 1 and err == f"error: image_id {samples[2].image_id}: class {bad} is not in 1..1\n", err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_out_that_is_not_a_directory_is_one_error_line(stubs, monkeypatch, splits_dir, tmp_path, command,
+                                                       under):
+    # such an --out used to end in a FileExistsError or NotADirectoryError
+    # traceback, and gen rendered the whole benchmark before it failed
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(VALID[command][0]))
+    argv = ["report", str(path)] if command == "report" else [command, "--config", str(path)]
+    if command == "train":  # the real run, which makes its out_dir before it loads a split
+        monkeypatch.setattr(cli, "run_experiment", pipeline.run_experiment)
+        argv = ["train", "--config", str(_train_config(splits_dir, tmp_path))]
+    code, err = _run(argv + ["--out", str(out)])
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+    assert blocker.read_text() == ""
+    if command == "gen":
+        assert stubs == []
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_config_that_is_a_directory_is_one_error_line(stubs, tmp_path, command):
+    # gen --config DIR used to end in an IsADirectoryError traceback
+    code, err = _run(_argv(command, tmp_path, tmp_path))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err, err
+    assert stubs == []

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lirrdet.autodiff import SGD, Tensor, backward, default_dtype, no_grad, precision
+from lirrdet.autodiff.tensor import _op
 from lirrdet.detector import (
     IGNORE,
     NEGATIVE,
@@ -19,11 +21,12 @@ from lirrdet.detector import (
     save_detections,
 )
 from lirrdet.detector.loss import detection_loss_terms
-from lirrdet.detector.model import _flatten_head
+from lirrdet.detector.model import anchor_order
 from lirrdet.detector.boxes import Detection, decode_boxes
 from lirrdet.detector.inference import MAX_DETS, NMS_THR
 
 from _box_ref import iou, positive_mask
+from _head_ref import concat, flatten_head
 from test_boxes import brute_nms
 
 
@@ -68,17 +71,24 @@ class TestModelWiring:
         assert 30_000 < total < 250_000
 
     def test_flatten_head_layout(self):
-        n, a, width, h, w = 2, 3, 5, 2, 4
-        data = np.arange(n * a * width * h * w, dtype=np.float64)
-        x = data.reshape(n, a * width, h, w)
-        out = _flatten_head(Tensor(x), a, width).data
-        for ni in range(n):
-            for i in range(h):
-                for j in range(w):
-                    for ai in range(a):
-                        for k in range(width):
-                            row = (i * w + j) * a + ai
-                            assert out[ni, row, k] == x[ni, ai * width + k, i, j]
+        # two levels of different per-cell anchor counts and grids: level, row,
+        # column, then anchor within the cell
+        n, width = 2, 5
+        levels = [(3, 2, 4), (2, 3, 1)]  # (per_cell, H, W)
+        xs = [np.arange(n * a * width * h * w, dtype=np.float64).reshape(n, a * width, h, w) + 1000 * lv
+              for lv, (a, h, w) in enumerate(levels)]
+        out = anchor_order([Tensor(x) for x in xs], width).data
+        assert out.shape == (n, sum(a * h * w for a, h, w in levels), width)
+        start = 0
+        for x, (a, h, w) in zip(xs, levels):
+            for ni in range(n):
+                for i in range(h):
+                    for j in range(w):
+                        for ai in range(a):
+                            for k in range(width):
+                                row = start + (i * w + j) * a + ai
+                                assert out[ni, row, k] == x[ni, ai * width + k, i, j]
+            start += a * h * w
 
     def test_head_channel_maps_to_anchor_index(self):
         # zero the head, raise one class-logit bias; only anchors with that
@@ -97,6 +107,61 @@ class TestModelWiring:
         expect[:n_level0] = (np.arange(n_level0) % per_cell) == a0
         np.testing.assert_array_equal(got, expect)
 
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True) \
+        and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@st.composite
+def head_outputs(draw):
+    """1-3 levels of per-level conv outputs (N, per_cell*width, H, W) with
+    distinct per-cell counts and heights, and an upstream gradient for the
+    (N, A, width) layout; both hold zeros of either sign."""
+    n, width = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    per_cell = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k, unique=True))
+    heights = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k, unique=True))
+    widths = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def signed_zeros(a):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        return a
+
+    xs = [signed_zeros(rng.normal(size=(n, pc * width, h, w))) for pc, h, w in zip(per_cell, heights, widths)]
+    rows = sum(pc * h * w for pc, h, w in zip(per_cell, heights, widths))
+    return xs, width, signed_zeros(rng.normal(size=(n, rows, width)))
+
+
+class TestAnchorOrderMatchesReference:
+    """The one-op layout against the reshape/transpose/reshape/concat chain it replaces."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=head_outputs(), dtype=st.sampled_from(["float32", "float64"]))
+    def test_forward_and_gradient_bits(self, case, dtype):
+        xs0, width, g0 = case
+
+        def reference(ts):
+            return concat([flatten_head(t, t.data.shape[1] // width, width) for t in ts], axis=1)
+
+        with precision(dtype):
+            g = g0.astype(dtype)
+            got = []
+            for layout in (lambda ts: anchor_order(ts, width), reference):
+                leaves = [Tensor(x, requires_grad=True) for x in xs0]
+                seen = []  # the gradient each level's producer receives, layout included
+                spied = [_op(t.data, (t,), lambda gi: (seen.append(gi) or gi,)) for t in leaves]
+                out = layout(spied)
+                backward(_op(np.zeros((), dtype), (out,), lambda _: (g,)))
+                got.append((out.data, seen[::-1], [t.grad for t in leaves]))
+        (out_a, seen_a, grads_a), (out_b, seen_b, grads_b) = got
+        assert same_bits(out_a, out_b)
+        for a, b in zip(seen_a + grads_a, seen_b + grads_b):
+            assert same_bits(a, b) and a.strides == b.strides
 
 FINE, COARSE = SMALL_SPEC.levels
 

@@ -12,7 +12,6 @@ from lirrdet.autodiff import (
     Tensor,
     backward,
     binary_cross_entropy_logit,
-    concat,
     conv2d,
     global_avg_pool,
     grad_reverse,
@@ -406,23 +405,6 @@ class TestGatherConcat:
         want = np.zeros_like(x0)
         np.add.at(want, np.arange(6)[rows], g)
         assert x.grad.tobytes() == want.tobytes()
-
-    def test_concat_gradcheck(self):
-        rng = np.random.default_rng(602)
-        with precision("float64"):
-            a0 = rng.normal(size=(2, 3))
-            b0 = rng.normal(size=(4, 3))
-
-            def f(a, b):
-                out = concat([Tensor(a), Tensor(b)], axis=0)
-                return float(dot(out * out).data)
-
-            ta, tb = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
-            out = concat([ta, tb], axis=0)
-            backward(dot(out * out))
-            na, nb = finite_diff_grads(f, [a0, b0])
-            assert max_rel_err(ta.grad, na) < 1e-6
-            assert max_rel_err(tb.grad, nb) < 1e-6
 
 
 class TestCompositeModelGradient:

@@ -16,6 +16,7 @@ from lirrdet.autodiff import (
 )
 from lirrdet.detector import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.loss import detection_loss_terms
+from lirrdet.detector.model import HeadSet
 from lirrdet.lirr import (
     _matches,
     _objective,
@@ -31,8 +32,9 @@ from lirrdet.lirr import (
     train_step,
 )
 
+from _head_ref import head_set_call
 from _risk_ref import detection_loss_terms as ref_loss_terms, gather_rows, risk_sum, sample_loss
-from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_detection_loss
+from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_detection_loss, same_bits
 
 
 def domain_risk(batch, model):
@@ -508,12 +510,6 @@ def risk_cases(draw):
     return outputs, matches, domains, draw(st.sampled_from([1.0, -0.7]))
 
 
-def same_bits(x, y) -> bool:
-    x, y = np.asarray(x), np.asarray(y)
-    return x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True) \
-        and np.array_equal(np.signbit(x), np.signbit(y))
-
-
 class TestRiskMatchesReference:
     """The one-op loss and _risk_sum against the gather/CE/smooth-L1 path they replace."""
 
@@ -552,6 +548,32 @@ class TestRiskMatchesReference:
                 got.append([total.data, c, l] + [t.grad for pair in heads for t in pair])
             for x, y in zip(*got):
                 assert (x is None and y is None) or same_bits(x, y)
+
+
+class TestHeadLayoutMatchesReferenceInTraining:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sda_and_supervised_steps_keep_every_parameter_bit(self, monkeypatch, dtype):
+        # 5 SDA and then 5 supervised steps with the one-op head layout, and
+        # again with HeadSet.__call__ swapped for the old reshape/transpose/concat chain
+        def run():
+            with precision(dtype):
+                model = small_model(40)
+                c = DomainClassifier(SMALL_SPEC.widths[-1], rng=np.random.default_rng(41))
+                opt = SGD(model.parameters() + c.parameters(), lr=0.05)
+                losses = []
+                for step in range(10):
+                    src, tgt = make_batches(50 + step)
+                    if step < 5:
+                        losses.append(train_step(src, tgt, model, c, opt, LirrConfig()))
+                    else:
+                        losses.append(train_step(None, tgt, model, None, opt, LirrConfig()))
+                return losses, [p.data.tobytes() for p in model.parameters() + c.parameters()]
+
+        losses, params = run()
+        monkeypatch.setattr(HeadSet, "__call__", head_set_call)
+        ref_losses, ref_params = run()
+        assert losses == ref_losses
+        assert params == ref_params
 
 
 class TestAdversarialDynamics:

