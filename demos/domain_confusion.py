@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from lirrdet.autodiff import SGD, Tensor, backward, global_avg_pool, no_grad
+from lirrdet.autodiff import SGD, Tensor, backward, no_grad
 from lirrdet.detector import Detector, ModelSpec
 from lirrdet.lirr import (
     DomainClassifier,
@@ -32,7 +32,7 @@ def render_pool(spec, params, domain, start: int, count: int) -> list:
 def pooled_features(model, samples) -> np.ndarray:
     with no_grad():
         x = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-        return global_avg_pool(model.features(x)[-1]).data.copy()
+        return model.features(x)[-1].data.mean(axis=(2, 3))
 
 
 def domain_separation(model, samples) -> float:

@@ -1,10 +1,9 @@
-"""Neural-network operations on tensors: convolution, pooling, bias
-addition, the domain classifier's loss and gradient reversal.
+"""Neural-network operations on tensors: convolution and gradient reversal.
 
 Every op here builds its output through ``_op`` from ``tensor.py``, as the
 elementwise ops do: forward values are plain numpy, and a backward rule is
-recorded when any input is being tracked. The detection loss is one op of
-its own, in ``detector/loss.py``.
+recorded when any input is being tracked. The detection loss and the
+alignment term are one op each, in ``detector/loss.py`` and ``lirr.py``.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ import numpy as np
 
 from .tensor import ShapeError, Tensor, _op
 
-__all__ = [
-    "conv2d",
-    "global_avg_pool",
-    "bias_add",
-    "binary_cross_entropy_logit",
-    "grad_reverse",
-]
+__all__ = ["conv2d", "grad_reverse"]
 
 
 def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -106,54 +99,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         return dx, dw, g.sum(axis=(0, 2, 3))
 
     return _op(np.ascontiguousarray(out_data), inputs, backward_fn)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial dimensions of an NCHW tensor, returning (N, C)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"global_avg_pool expects NCHW input, got {x.data.shape}")
-    n, c, h, w = x.data.shape
-
-    def backward_fn(g):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape).astype(x.data.dtype, copy=False),)
-
-    return _op(x.data.mean(axis=(2, 3)), (x,), backward_fn)
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a (K,) bias row-wise to an (N, K) matrix."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"bias_add expects (N,K) + (K,), got {x.data.shape} and {b.data.shape}")
-    return _op(x.data + b.data[None, :], (x, b), lambda g: (g, g.sum(axis=0)))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def binary_cross_entropy_logit(logit: Tensor, target) -> Tensor:
-    """Binary cross entropy from logits, in the usual stabilized form.
-
-    Targets must be exactly 0 or 1. Value is the mean of
-    max(z,0) - z*t + log(1 + exp(-|z|)).
-    """
-    target = np.asarray(target, dtype=logit.data.dtype)
-    if target.shape != logit.data.shape:
-        raise ShapeError(f"target shape {target.shape} does not match logits {logit.data.shape}")
-    if not np.all((target == 0) | (target == 1)):
-        raise ValueError("binary_cross_entropy_logit targets must be exactly 0 or 1")
-    z = logit.data
-    per = np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
-
-    def backward_fn(g):
-        return ((_sigmoid(z) - target) / z.size * g,)
-
-    return _op(np.asarray(per.mean(), dtype=z.dtype), (logit,), backward_fn)
 
 
 def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:

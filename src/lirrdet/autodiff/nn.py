@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor, default_dtype, matmul
+from .tensor import Tensor, default_dtype
 
 __all__ = ["Parameter", "Module", "Conv2d", "Linear", "he_normal"]
 
@@ -56,8 +56,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item._walk(f"{path}.{i}")
-                    elif isinstance(item, Parameter):
-                        yield f"{path}.{i}", item
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -81,10 +79,10 @@ class Module:
 
 class Conv2d(Module):
     def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int = 1,
-                 padding: int = 0, bias: bool = True, *, rng: np.random.Generator):
+                 padding: int = 0, *, rng: np.random.Generator):
         fan_in = in_ch * ksize * ksize
         self.weight = Parameter(he_normal(rng, (out_ch, in_ch, ksize, ksize), fan_in))
-        self.bias = Parameter(np.zeros(out_ch, dtype=default_dtype())) if bias else None
+        self.bias = Parameter(np.zeros(out_ch, dtype=default_dtype()))
         self.stride = stride
         self.padding = padding
 
@@ -93,13 +91,8 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 *, rng: np.random.Generator):
-        self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features))
-        self.bias = Parameter(np.zeros(out_features, dtype=default_dtype())) if bias else None
+    """Holds a dense layer's parameters, x @ weight + bias; lirr.domain_bce applies them."""
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = matmul(x, self.weight)
-        if self.bias is not None:
-            out = F.bias_add(out, self.bias)
-        return out
+    def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
+        self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features))
+        self.bias = Parameter(np.zeros(out_features, dtype=default_dtype()))

@@ -16,9 +16,10 @@ loss raises ``TapeError``.
 The ops are the ones the detector runs: ``+``, ``-`` and ``*`` (two
 tensors of the same shape, or a tensor on the left and a Python scalar on
 the right; a scalar on the left is a ``TypeError``, anything else raises
-``ShapeError``), ``relu``, ``reshape`` and ``matmul``. ``functional.py`` holds the rest; the detection loss and the
-anchor-order layout of the head outputs are one op each, in
-``detector/loss.py`` and ``detector/model.py``.
+``ShapeError``), ``relu`` and ``reshape``. ``functional.py`` holds the
+convolution and gradient reversal; the detection loss, the head outputs'
+anchor-order layout and the alignment term are one op each, in
+``detector/loss.py``, ``detector/model.py`` and ``lirr.py``.
 
 Precision is a per-thread mode (float32 by default, float64 for
 verification); see ``precision``. Grad mode and the tape are per thread as
@@ -175,15 +176,6 @@ def _binary(a: Tensor, b, fwd, bwd, name: str) -> Tensor:
         return _op(fwd(a.data, b.data), (a, b), lambda g: bwd(g, a.data, b.data))
     s = float(b)
     return _op(fwd(a.data, s), (a,), lambda g: bwd(g, a.data, s)[:1])
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with the standard transpose backward rules."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.data.shape} vs {b.data.shape}")
-    return _op(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def backward(loss: Tensor) -> None:

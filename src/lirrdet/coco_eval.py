@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector.boxes import iou_matrix
+from .detector.inference import MAX_DETS
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
-MAX_DETS = 100
 
 
 @dataclass

@@ -11,7 +11,7 @@ from ..container import atomic_open
 from .boxes import Detection, decode_boxes, nms
 
 NMS_THR = 0.5
-MAX_DETS = 100
+MAX_DETS = 100  # detections kept per image, here and in coco_eval
 
 
 def forward_detect(model, image, score_thr: float = 0.05) -> list:

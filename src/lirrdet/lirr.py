@@ -26,10 +26,10 @@ Sign handling, spelled out because it is easy to get backwards:
     E_src[log sigma(C(h))] + E_tgt[log(1 - sigma(C(h)))], which a perfect
     classifier drives to 0 from below. Internally the term is the binary
     cross entropy of C on the domain-labeling task (the negation of that
-    value), so plain descent trains C to separate; a reversal layer
-    between the pooled features and C hands the backbone the negated
-    gradient (scaled by grl_lambda), pushing it toward indistinguishable
-    features. A constant shift of -2x the detached cross entropy turns
+    value), so plain descent trains C to separate; the op hands the
+    pooled features the negated gradient (scaled by grl_lambda), as a
+    reversal layer before C would, pushing the backbone toward
+    indistinguishable features. A constant shift of -2x the detached cross entropy turns
     the returned value back into the conventional form without touching
     any gradient.
 
@@ -59,14 +59,14 @@ import numpy as np
 from .autodiff import (
     Linear,
     Module,
+    ShapeError,
     Tensor,
     backward,
-    binary_cross_entropy_logit,
     default_dtype,
-    global_avg_pool,
     grad_reverse,
     no_grad,
 )
+from .autodiff.tensor import _op
 from .detector.loss import detection_loss_terms
 from .detector.matching import match_anchors
 
@@ -108,14 +108,63 @@ class LossBreakdown:  # a term the objective did not compute reads 0.0
 
 
 class DomainClassifier(Module):
-    """Two-layer MLP on pooled backbone features, one domain logit out."""
+    """Two-layer MLP on pooled backbone features, one domain logit out; domain_bce runs it."""
 
     def __init__(self, in_features: int, *, rng: np.random.Generator):
         self.fc1 = Linear(in_features, CLASSIFIER_HIDDEN, rng=rng)
         self.fc2 = Linear(CLASSIFIER_HIDDEN, 1, rng=rng)
 
-    def __call__(self, pooled: Tensor) -> Tensor:
-        return self.fc2(self.fc1(pooled).relu())
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def domain_bce(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
+               grl_lambda: float) -> Tensor:
+    """One op: the classifier's mean cross entropy on each spatially pooled map,
+    target 1 for source and 0 for target, summed. The classifier's parameters
+    get the derivative, each map -grl_lambda times it."""
+    params = [p for fc in (classifier.fc1, classifier.fc2) for p in (fc.weight, fc.bias)]
+    w1, b1, w2, b2 = (p.data for p in params)
+    maps = (feat_src.data, feat_tgt.data)
+    shapes = f"got maps {maps[0].shape} and {maps[1].shape}"
+    if any(f.ndim != 4 for f in maps):
+        raise ShapeError(f"rep_loss expects (N, C, H, W) feature maps, {shapes}")
+    if any(len(f) == 0 for f in maps):
+        raise ValueError("rep_loss: empty domain batch")
+    if grl_lambda < 0:
+        raise ValueError(f"grl_lambda must be >= 0, got {grl_lambda}")
+    if any(f.shape[1] != len(w1) for f in maps):
+        raise ShapeError(f"rep_loss: the classifier takes {len(w1)} channels, {shapes}")
+
+    sides, bce = [], []  # per domain: map, pooled, pre-activation, hidden, logits, targets
+    for f, fill in zip(maps, (np.ones, np.zeros)):
+        h = f.mean(axis=(2, 3))
+        pre = h @ w1 + b1[None, :]
+        a = np.maximum(pre, 0.0)
+        z = a @ w2 + b2[None, :]
+        t = fill(z.shape, dtype=z.dtype)
+        per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+        sides.append((f, h, pre, a, z, t))
+        bce.append(np.asarray(per.mean(), z.dtype))
+
+    def backward_fn(g):
+        feat_grads, param_grads = [], []
+        for f, h, pre, a, z, t in sides:
+            dz = (_sigmoid(z) - t) / z.size * g
+            dpre = (dz @ w2.T) * (pre > 0)
+            dh = (-grl_lambda * (dpre @ w1.T))[:, :, None, None] / (f.shape[2] * f.shape[3])
+            feat_grads.append(np.broadcast_to(dh, f.shape).astype(f.dtype, copy=False))
+            param_grads.append((h.T @ dpre, dpre.sum(axis=0), a.T @ dz, dz.sum(axis=0)))
+        # the target's term, then + the source's: the order a sweep of the pool/MLP/BCE ops adds them
+        return (*feat_grads, *(t + s for s, t in zip(*param_grads)))
+
+    return _op(bce[0] + bce[1], (feat_src, feat_tgt, *params), backward_fn)
 
 
 def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
@@ -123,21 +172,15 @@ def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
     """Alignment term. Value: E_src[log sigma] + E_tgt[log(1 - sigma)].
 
     The features are (N, C, H, W) maps, pooled over space. Gradients descend
-    the underlying cross entropy for the classifier and reverse (scaled by
-    grl_lambda) into whatever produced the features.
+    the underlying cross entropy (domain_bce, one op) for the classifier and
+    reverse (scaled by grl_lambda) into whatever produced the features.
 
     The classifier's sigmoid reads as "probability the features came from
     the source batch" (cross-entropy target 1 for source). That is a local
     convention of this term only; DomainLabel's integer values index the
     per-domain heads and play no role here.
     """
-    hs, ht = global_avg_pool(feat_src), global_avg_pool(feat_tgt)
-    if hs.data.shape[0] == 0 or ht.data.shape[0] == 0:
-        raise ValueError("rep_loss: empty domain batch")
-    zs = classifier(grad_reverse(hs, grl_lambda))
-    zt = classifier(grad_reverse(ht, grl_lambda))
-    bce = binary_cross_entropy_logit(zs, np.ones(zs.data.shape)) \
-        + binary_cross_entropy_logit(zt, np.zeros(zt.data.shape))
+    bce = domain_bce(feat_src, feat_tgt, classifier, grl_lambda)
     return bce - 2.0 * float(bce.data)
 
 

@@ -7,7 +7,9 @@ perturbed raw arrays, so it stays independent of the code path it checks.
 
 import numpy as np
 
-from lirrdet.autodiff import Tensor, matmul
+from lirrdet.autodiff import Tensor
+
+from _rep_ref import matmul
 
 H = 1e-5
 

@@ -11,15 +11,15 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lirrdet.autodiff.tensor
-from lirrdet.autodiff import (SGD, Conv2d, Linear, Tensor, load_checkpoint,
-                              matmul, no_grad, precision, save_checkpoint)
-from lirrdet.autodiff.functional import (bias_add, binary_cross_entropy_logit,
-                                         conv2d, global_avg_pool, grad_reverse)
+from lirrdet.autodiff import (SGD, Conv2d, Tensor, load_checkpoint, no_grad,
+                              precision, save_checkpoint)
+from lirrdet.autodiff.functional import conv2d, grad_reverse
 from lirrdet.cli import main
 from lirrdet.coco_eval import (EvalInput, RECALL_GRID, average_precision,
                                evaluate, match_detections)
@@ -28,13 +28,14 @@ from lirrdet.detector.boxes import Detection, decode_boxes, encode_boxes
 from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.detector.matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.model import Detector, ModelSpec, anchor_order
-from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
+from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, domain_bce, train_step
 from lirrdet.pipeline import ExperimentConfig, run_experiment, evaluate_checkpoint
 from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, make_benchmark,
                               render_scene, render_scene_parts, save_dataset,
                               SOURCE_DOMAIN, TARGET_DOMAIN)
 
 from _box_ref import iou
+from _rep_ref import Linear, binary_cross_entropy_logit, global_avg_pool, matmul
 from _risk_ref import gather_rows, smooth_l1, softmax_cross_entropy
 from test_boxes import nms_dets
 
@@ -100,7 +101,6 @@ def op_cases(rng):
     b_conv = rng.normal(size=(3,))
     logits = rng.normal(size=(4, 5))
     labels = rng.integers(0, 5, size=4)
-    bce_t = rng.integers(0, 2, size=(6,)).astype(float)
     # residuals away from the smooth-l1 kink at |e| = 1
     sl_x = rng.normal(size=(5, 4))
     sl_delta = np.where(rng.random((5, 4)) < 0.5,
@@ -139,13 +139,8 @@ def op_cases(rng):
          lambda w: dot(conv2d(Tensor(ximg), w, Tensor(b_conv), stride=2, padding=1))),
         ("conv2d_b", b_conv.copy(),
          lambda b: dot(conv2d(Tensor(ximg), Tensor(w_conv), b, stride=1, padding=0))),
-        ("global_avg_pool", ximg, lambda x: dot(global_avg_pool(x))),
-        ("bias_add_x", x34, lambda x: dot(bias_add(x, Tensor(c34[0])))),
-        ("bias_add_b", c34[0].copy(), lambda b: dot(bias_add(Tensor(x34), b))),
         ("softmax_ce_sum", logits,
          lambda z: softmax_cross_entropy(z, labels)),
-        ("bce_mean", rng.normal(size=(6,)),
-         lambda z: binary_cross_entropy_logit(z, bce_t)),
         ("smooth_l1", sl_x,
          lambda x: smooth_l1(x, sl_x - sl_delta)),
         ("gather_rows", rng.normal(size=(6, 4)),
@@ -159,6 +154,23 @@ def op_cases(rng):
         ("detection_loss_loc", dl_loc,
          lambda x: detection_loss_terms(Tensor(dl_cls), x, 1, dl_match)[0]),
     ]
+    # the alignment term's cross entropy (before rep_loss's shift) on maps of
+    # unequal batch and spatial sizes, one case per input; a map under test
+    # passes grad_reverse(., 1.0), which cancels the op's own reversal
+    clf = DomainClassifier(3, rng=rng)
+    inputs = [rng.normal(size=(2, 3, 2, 3)), rng.normal(size=(3, 3, 1, 2))] \
+        + [p.data.copy() for p in (clf.fc1.weight, clf.fc1.bias, clf.fc2.weight, clf.fc2.bias)]
+
+    def domain_bce_of(i):
+        def build(x):
+            t = [Tensor(a) for a in inputs]
+            t[i] = grad_reverse(x, 1.0) if i < 2 else x
+            fc1, fc2 = SimpleNamespace(weight=t[2], bias=t[3]), SimpleNamespace(weight=t[4], bias=t[5])
+            return domain_bce(t[0], t[1], SimpleNamespace(fc1=fc1, fc2=fc2), 1.0)
+        return build
+
+    names = ("src", "tgt", "fc1_weight", "fc1_bias", "fc2_weight", "fc2_bias")
+    cases += [(f"domain_bce_{name}", inputs[i], domain_bce_of(i)) for i, name in enumerate(names)]
     return cases
 
 
@@ -272,7 +284,9 @@ def test_criterion_1_has_a_case_for_every_op(monkeypatch):
     # grad_reverse's backward is not the derivative of its forward on purpose;
     # criterion 2 checks it against the plain gradient instead
     wanted = {f for f in wanted if f[1] != "grad_reverse"}
-    assert len(wanted) >= 10, wanted
+    # the scan must at least find the ops the package is known to record
+    assert {f[1] for f in wanted} >= {"_binary", "relu", "reshape", "conv2d", "anchor_order",
+                                       "detection_loss_terms", "domain_bce"}, wanted
     assert wanted <= reached, f"ops with no criterion-1 case: {sorted(wanted - reached)}"
 
 

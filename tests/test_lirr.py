@@ -1,22 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
+from lirrdet import lirr
 from lirrdet.autodiff import (
     SGD,
+    ShapeError,
     Tensor,
     backward,
-    binary_cross_entropy_logit,
-    global_avg_pool,
     grad_reverse,
-    matmul,
     no_grad,
     precision,
 )
 from lirrdet.detector import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.loss import detection_loss_terms
-from lirrdet.detector.model import HeadSet
+from lirrdet.detector.model import Detector, HeadSet, ModelSpec
 from lirrdet.lirr import (
     _matches,
     _objective,
@@ -33,6 +34,8 @@ from lirrdet.lirr import (
 )
 
 from _head_ref import head_set_call
+from _rep_ref import binary_cross_entropy_logit, classify, global_avg_pool, matmul
+from _rep_ref import rep_loss as ref_rep_loss
 from _risk_ref import detection_loss_terms as ref_loss_terms, gather_rows, risk_sum, sample_loss
 from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_detection_loss, same_bits
 
@@ -138,6 +141,15 @@ class TestRepLoss:
         with pytest.raises(ValueError, match="empty"):
             rep_loss(maps(np.zeros((2, 3))), maps(np.zeros((0, 3))), c)
 
+    def test_maps_that_are_not_4d_or_miss_the_classifier_width_rejected(self):
+        c = zeroed_classifier(3)
+        for fs, ft in ((np.zeros((2, 3, 4)), np.zeros((2, 3, 1, 1))),
+                       (np.zeros((2, 3, 1, 1)), np.zeros((2, 3))),
+                       (np.zeros((2, 4, 1, 1)), np.zeros((2, 3, 1, 1))),
+                       (np.zeros((2, 3, 2, 2)), np.zeros((1, 2, 2, 2)))):
+            with pytest.raises(ShapeError, match=re.escape(str(fs.shape)) + ".*" + re.escape(str(ft.shape))):
+                rep_loss(Tensor(fs), Tensor(ft), c)
+
     def test_4d_input_is_pooled(self):
         with precision("float64"):
             rng = np.random.default_rng(3)
@@ -172,8 +184,8 @@ class TestRepLoss:
             c.zero_grad()
             w_b = Tensor(w_init.copy(), requires_grad=True)
             fs, ft = forward(w_b)
-            bce = binary_cross_entropy_logit(c(fs), np.ones((2, 1))) \
-                + binary_cross_entropy_logit(c(ft), np.zeros((2, 1)))
+            bce = binary_cross_entropy_logit(classify(c, fs), np.ones((2, 1))) \
+                + binary_cross_entropy_logit(classify(c, ft), np.zeros((2, 1)))
             backward(bce)
 
         np.testing.assert_allclose(w_a.grad, -lam * w_b.grad, rtol=0, atol=1e-15)
@@ -576,6 +588,81 @@ class TestHeadLayoutMatchesReferenceInTraining:
         assert params == ref_params
 
 
+@st.composite
+def rep_cases(draw):
+    """Feature maps of two domains with their own batch and spatial sizes, a
+    classifier seed, grl_lambda and a weight on the loss. Maps up to 50 in
+    size saturate the sigmoid; grl_lambda 0.0 makes -0.0 * g, so the
+    feature gradients hold zeros of both signs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([0.5, 4.0, 50.0]))
+    maps = [rng.normal(size=(draw(st.integers(1, 4)), channels, draw(st.integers(1, 3)),
+                             draw(st.integers(1, 3)))) * scale for _ in range(2)]
+    return (maps, channels, draw(st.integers(0, 2**16)), draw(st.sampled_from([0.0, 0.6, 1.0])),
+            draw(st.sampled_from([1.0, 0.1, -0.7])))
+
+
+class TestRepLossMatchesReference:
+    """The one-op alignment term against the pool/reverse/MLP/BCE path it replaces."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=rep_cases(), dtype=st.sampled_from(["float32", "float64"]))
+    def test_value_and_gradient_bits(self, case, dtype):
+        maps, channels, clf_seed, lam, weight = case
+        with precision(dtype):
+            got = []
+            for loss_fn in (rep_loss, ref_rep_loss):
+                c = DomainClassifier(channels, rng=np.random.default_rng(clf_seed))
+                fs, ft = (Tensor(m, requires_grad=True) for m in maps)
+                loss = loss_fn(fs, ft, c, lam)
+                backward(loss * weight)
+                got.append([loss.data, fs.grad, ft.grad] + [p.grad for p in c.parameters()])
+            for x, y in zip(*got):
+                assert same_bits(x, y)
+
+    @pytest.mark.parametrize("cfg", [LirrConfig(), LirrConfig(0.3, 0.7, 0.6)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sda_steps_keep_every_loss_and_parameter_bit(self, monkeypatch, dtype, cfg):
+        def run():
+            with precision(dtype):
+                model = small_model(60)
+                c = DomainClassifier(SMALL_SPEC.widths[-1], rng=np.random.default_rng(61))
+                opt = SGD(model.parameters() + c.parameters(), lr=0.05, momentum=0.5)
+                losses = [train_step(*make_batches(70 + step), model, c, opt, cfg) for step in range(5)]
+                return losses, [p.data.tobytes() for p in model.parameters() + c.parameters()]
+
+        losses, params = run()
+        monkeypatch.setattr(lirr, "rep_loss", ref_rep_loss)
+        ref_losses, ref_params = run()
+        assert losses == ref_losses
+        assert params == ref_params
+
+
+class TestTapeSize:
+    """Entries on the tape at each step's backward, read as perfbench reads them;
+    upper bounds, so a fold that shrinks the graph passes and a regression fails."""
+
+    @pytest.mark.parametrize("sda, bound", [(True, 116), (False, 30)])
+    def test_step_records_at_most(self, monkeypatch, sda, bound):
+        sizes = []
+
+        def counting_backward(loss):
+            sizes.append(len(loss._tape))
+            return backward(loss)
+
+        monkeypatch.setattr(lirr, "backward", counting_backward)
+        spec = ModelSpec()
+        rng = np.random.default_rng(0)
+        src = [make_sample(rng, DomainLabel.SOURCE, -0.4, spec.image_size) for _ in range(8)]
+        tgt = [make_sample(rng, DomainLabel.TARGET, 0.2, spec.image_size) for _ in range(8)]
+        model = Detector(spec, rng=rng)
+        c = DomainClassifier(spec.widths[-1], rng=rng) if sda else None
+        opt = SGD(model.parameters() + (c.parameters() if sda else []), lr=0.01)
+        train_step(src if sda else None, tgt, model, c, opt, LirrConfig())
+        assert len(sizes) == 1 and sizes[0] <= bound, sizes
+
+
 class TestAdversarialDynamics:
     def test_classifier_accuracy_drops_to_chance(self):
         # domains differ only by background brightness, so the backbone can
@@ -595,8 +682,8 @@ class TestAdversarialDynamics:
 
         def accuracy():
             with no_grad():
-                zs = c(Tensor(pooled_features(pool_src))).data
-                zt = c(Tensor(pooled_features(pool_tgt))).data
+                zs = classify(c, Tensor(pooled_features(pool_src))).data
+                zt = classify(c, Tensor(pooled_features(pool_tgt))).data
             hits = int((zs > 0).sum()) + int((zt <= 0).sum())
             return hits / (len(pool_src) + len(pool_tgt))
 
@@ -605,8 +692,8 @@ class TestAdversarialDynamics:
             opt_c = SGD(c.parameters(), lr=lr)
             for _ in range(steps):
                 c.zero_grad()
-                bce = binary_cross_entropy_logit(c(Tensor(fs)), np.ones((len(fs), 1))) \
-                    + binary_cross_entropy_logit(c(Tensor(ft)), np.zeros((len(ft), 1)))
+                bce = binary_cross_entropy_logit(classify(c, Tensor(fs)), np.ones((len(fs), 1))) \
+                    + binary_cross_entropy_logit(classify(c, Tensor(ft)), np.zeros((len(ft), 1)))
                 backward(bce)
                 opt_c.step()
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from _containerfile import edit_container
+from _rep_ref import Linear
 from lirrdet.autodiff import (
     SGD,
     CheckpointError,
     Conv2d,
-    Linear,
     Module,
     Parameter,
     Tensor,

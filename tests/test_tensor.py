@@ -12,12 +12,12 @@ from lirrdet.autodiff import (
     Tensor,
     backward,
     conv2d,
-    matmul,
     no_grad,
     precision,
 )
 
 from _gradcheck import dot, finite_diff_grads, max_rel_err
+from _rep_ref import matmul
 from _risk_ref import gather_rows
 
 
