@@ -2,8 +2,8 @@
 
 Every op here builds its output through ``_op`` from ``tensor.py``, as the
 elementwise ops do: forward values are plain numpy, and a backward rule is
-recorded when any input is being tracked. The detection loss and the
-alignment term are one op each, in ``detector/loss.py`` and ``lirr.py``.
+recorded when any input is being tracked. Each batch's detection risk
+under one head and the alignment term are one op each, in ``lirr.py``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ def _im2col(xpad: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of an NCHW input with an FCkk kernel stack.
 
     Output spatial size is floor((H + 2*padding - kh) / stride) + 1 (same for
@@ -49,7 +48,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Args:
         x: input of shape (N, C, H, W).
         weight: kernels of shape (F, C, kh, kw).
-        bias: optional per-filter bias of shape (F,).
+        bias: per-filter bias of shape (F,).
         stride: positive step between windows.
         padding: zero padding added on each spatial border.
 
@@ -72,10 +71,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     xpad = _pad(x.data.transpose(1, 0, 2, 3), padding, padding)
     cols2 = _im2col(xpad, kh, kw, stride, ho, wo)
     w2 = weight.data.reshape(f, c * kh * kw)
-    out_data = (w2 @ cols2).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    out_data = (w2 @ cols2).reshape(f, n, ho, wo).transpose(1, 0, 2, 3) + bias.data.reshape(1, f, 1, 1)
     x_tracked = x.requires_grad or x._entry is not None
 
     def backward_fn(g):
@@ -94,11 +90,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 for j in range(kw):
                     dxpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
             dx = dxpad[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
-        if bias is None:
-            return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return _op(np.ascontiguousarray(out_data), inputs, backward_fn)
+    return _op(np.ascontiguousarray(out_data), (x, weight, bias), backward_fn)
 
 
 def grad_reverse(x: Tensor, lam: float = 1.0) -> Tensor:

@@ -17,9 +17,10 @@ The ops are the ones the detector runs: ``+``, ``-`` and ``*`` (two
 tensors of the same shape, or a tensor on the left and a Python scalar on
 the right; a scalar on the left is a ``TypeError``, anything else raises
 ``ShapeError``), ``relu`` and ``reshape``. ``functional.py`` holds the
-convolution and gradient reversal; the detection loss, the head outputs'
-anchor-order layout and the alignment term are one op each, in
-``detector/loss.py``, ``detector/model.py`` and ``lirr.py``.
+convolution and gradient reversal; the head outputs' anchor-order layout
+is one op per output kind, in ``detector/model.py``, and each batch's
+detection risk under one head and the alignment term are one op each, in
+``lirr.py``.
 
 Precision is a per-thread mode (float32 by default, float64 for
 verification); see ``precision``. Grad mode and the tape are per thread as

@@ -49,24 +49,32 @@ class APReport:
         }
 
 
-def match_detections(dets, gts, iou_thr: float) -> np.ndarray:
-    """Greedy TP/FP assignment for one image.
+def _check_thresholds(thresholds):
+    bad = [thr for thr in thresholds if not 0.0 < thr <= 1.0]
+    if bad:
+        raise ValueError(f"IoU threshold {bad[0]} outside (0, 1]")
+
+
+def match_detections(dets, gts, iou_thrs) -> np.ndarray:
+    """Greedy TP/FP assignment for one image, at each IoU threshold.
 
     dets: list of (bbox, class_id, score); gts: list of (bbox, class_id).
     Processes detections by descending score (ties keep input order); each
-    claims the unmatched same-class GT of highest IoU >= iou_thr. Returns
-    a bool array aligned with the detection input order.
+    claims the unmatched same-class GT of highest IoU >= the threshold.
+    Returns (T, D) bool flags, a row per threshold, a column per detection
+    in input order.
     """
-    if not 0.0 < iou_thr <= 1.0:
-        raise ValueError(f"match_detections: iou_thr {iou_thr} outside (0, 1]")
+    _check_thresholds(iou_thrs)
     ious = iou_matrix([d[0] for d in dets], [g[0] for g in gts])
     same_class = np.array([d[1] for d in dets])[:, None] == np.array([g[1] for g in gts])[None, :]
     ious[~same_class] = -1.0
-    return _greedy_flags(ious, np.argsort([-d[2] for d in dets], kind="stable"), iou_thr)
+    order = np.argsort([-d[2] for d in dets], kind="stable")
+    return np.array([_greedy_flags(ious, order, thr) for thr in iou_thrs],
+                    dtype=bool).reshape(len(iou_thrs), len(dets))
 
 
 def _greedy_flags(ious: np.ndarray, order: np.ndarray, iou_thr: float) -> np.ndarray:
-    """match_detections on a detections x GTs IoU matrix (-1 where the classes differ)."""
+    """One threshold's flags over a detections x GTs IoU matrix (-1 where the classes differ)."""
     ious = np.where(ious >= iou_thr, ious, -1.0)
     flags = np.zeros(len(ious), dtype=bool)
     for i in order[(ious >= 0.0).any(axis=1)[order]]:
@@ -101,24 +109,6 @@ def pr_curve(flags, num_gt: int) -> np.ndarray:
     return np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
 
 
-def _pooled_class_flags(eval_input: EvalInput, cls: int, thresholds) -> np.ndarray:
-    """TP/FP flags of one class pooled over images in score order, one row per threshold.
-
-    Each image's detections x GTs IoU matrix is built once and thresholded
-    at every level.
-    """
-    scores, flags = [], []
-    for iid in sorted(eval_input.gt):
-        dets = [d for d in eval_input.detections.get(iid, []) if d[1] == cls]
-        gts = [g for g in eval_input.gt[iid] if g[1] == cls]
-        ious = iou_matrix([d[0] for d in dets], [g[0] for g in gts])
-        order = np.argsort([-d[2] for d in dets], kind="stable")
-        scores += [d[2] for d in dets]
-        flags.append(np.array([_greedy_flags(ious, order, thr) for thr in thresholds],
-                              dtype=bool).reshape(len(thresholds), len(dets)))
-    return np.concatenate(flags, axis=1)[:, np.argsort(np.negative(scores), kind="stable")]
-
-
 def _cap_detections(dets):
     """The MAX_DETS highest-scoring detections (ties keep input order), in input order."""
     keep = np.sort(np.argsort(np.negative([d[2] for d in dets]), kind="stable")[:MAX_DETS])
@@ -130,21 +120,21 @@ def evaluate(eval_input: EvalInput, thresholds=IOU_THRESHOLDS) -> APReport:
     unknown = [iid for iid in eval_input.detections if iid not in eval_input.gt]
     if unknown:
         raise ValueError(f"detections for image id {unknown[0]!r}, which the ground truth does not list")
-    bad = [thr for thr in thresholds if not 0.0 < thr <= 1.0]
-    if bad:
-        raise ValueError(f"evaluate: IoU threshold {bad[0]} outside (0, 1]")
-    capped = {iid: _cap_detections(d) for iid, d in eval_input.detections.items()}
-    data = EvalInput(gt=eval_input.gt, detections=capped)
-
-    gt_classes = {c for gts in data.gt.values() for _, c in gts}
-    det_classes = {c for dets in data.detections.values() for _, c, _ in dets}
-    classes = sorted(gt_classes | det_classes)
-
-    num_gt = {c: sum(1 for gts in data.gt.values() for _, gc in gts if gc == c)
-              for c in classes}
+    _check_thresholds(thresholds)
+    # every image's capped detections, pooled in image order: class, score, a flag row per threshold
+    det_class, scores, flags = [], [], [np.empty((len(thresholds), 0), dtype=bool)]
+    for iid in sorted(eval_input.gt):
+        dets = _cap_detections(eval_input.detections.get(iid, []))
+        det_class += [d[1] for d in dets]
+        scores += [d[2] for d in dets]
+        flags.append(match_detections(dets, eval_input.gt[iid], thresholds))
+    gt_class = [c for gts in eval_input.gt.values() for _, c in gts]
+    classes = sorted(set(gt_class) | set(det_class))
+    order = np.argsort(np.negative(scores), kind="stable")  # each class's columns keep this order
+    det_class, flags = np.array(det_class)[order], np.concatenate(flags, axis=1)[:, order]
 
     # per_class[i][t]: AP of classes[i] at thresholds[t]
-    per_class = [[average_precision(f, num_gt[c]) for f in _pooled_class_flags(data, c, thresholds)]
+    per_class = [[average_precision(f, gt_class.count(c)) for f in flags[:, det_class == c]]
                  for c in classes]
     per_threshold = []
     for t in range(len(thresholds)):

@@ -1,19 +1,18 @@
-"""Detection training loss of one image, as one tape op.
+"""Detection training loss of one image, in numpy.
 
 Cross entropy over sampled anchors plus smooth L1 over positive anchors'
 offsets, divided by the positive count floored at 1 (SSD, Liu et al. 2016,
 arXiv:1512.02325, section 2.2). Negatives are hard-mined: the 3:1 highest
 background cross entropy among negatives, with the ratio applied to
 max(num_positive, 1). Over zero sampled rows (all anchors ignored) the loss
-is a tracked zero with zero gradients.
+is zero with zero gradients. `lirr._risk_sum` makes one tape op of a batch
+of these.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor
-from ..autodiff.tensor import _op
 from .matching import NEGATIVE, MatchResult
 
 NEG_RATIO = 3  # hard negatives sampled per positive
@@ -25,14 +24,15 @@ def _background_ce(logits: np.ndarray) -> np.ndarray:
     return lse - logits[:, 0]
 
 
-def detection_loss_terms(cls: Tensor, loc: Tensor, b: int, match: MatchResult):
-    """Sample b's normalized loss over (B, A, K) logits and (B, A, 4) offsets.
+def detection_loss_terms(logits: np.ndarray, offsets: np.ndarray, match: MatchResult):
+    """One sample's normalized loss over (A, K) logits and (A, 4) offsets.
 
-    Returns (loss Tensor, classification float, localization float); the
-    two floats are the loss's parts, each divided by the positive count.
-    The class targets of positives must lie in [1, K).
+    Returns (value, classification float, localization float, add_grad):
+    the two floats are the loss's parts, each divided by the positive count,
+    and add_grad(g, dlogits, dloc) adds g times the loss's gradient into the
+    (A, K) and (A, 4) arrays it is given. The class targets of positives must
+    lie in [1, K).
     """
-    logits, offsets = cls.data[b], loc.data[b]
     pos_idx = np.flatnonzero(match.gt_index >= 0)
     neg_idx = np.flatnonzero(match.gt_index == NEGATIVE)
     npos = len(pos_idx)
@@ -46,20 +46,17 @@ def detection_loss_terms(cls: Tensor, loc: Tensor, b: int, match: MatchResult):
 
     picked = logits[sampled]
     z = picked - picked.max(axis=1, keepdims=True)
-    ct = np.asarray((np.log(np.exp(z).sum(axis=1)) - z[rows, labels]).sum(), dtype=cls.data.dtype)
-    e = offsets[pos_idx] - np.asarray(match.box_targets[pos_idx], dtype=loc.data.dtype)
+    ct = np.asarray((np.log(np.exp(z).sum(axis=1)) - z[rows, labels]).sum(), dtype=logits.dtype)
+    e = offsets[pos_idx] - np.asarray(match.box_targets[pos_idx], dtype=offsets.dtype)
     ae = np.abs(e)
-    lt = np.asarray(np.where(ae < 1.0, 0.5 * e * e, ae - 0.5).sum(), dtype=loc.data.dtype)
+    lt = np.asarray(np.where(ae < 1.0, 0.5 * e * e, ae - 0.5).sum(), dtype=offsets.dtype)
 
-    def backward_fn(g):
+    def add_grad(g, dlogits, dloc):
         g = g * norm
         soft = np.exp(z)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[rows, labels] -= 1.0
-        dcls = np.zeros_like(cls.data)
-        dloc = np.zeros_like(loc.data)
-        dcls[b, sampled] += soft * g  # += turns a -0.0 into +0.0, as a scatter-add does
-        dloc[b, pos_idx] += np.clip(e, -1.0, 1.0) * g
-        return dcls, dloc
+        dlogits[sampled] += soft * g  # += turns a -0.0 into +0.0, as a scatter-add does
+        dloc[pos_idx] += np.clip(e, -1.0, 1.0) * g
 
-    return _op((ct + lt) * norm, (cls, loc), backward_fn), float(ct) * norm, float(lt) * norm
+    return (ct + lt) * norm, float(ct) * norm, float(lt) * norm, add_grad

@@ -5,10 +5,11 @@ Three terms are combined:
 
   * rep term  — how well a small domain classifier separates pooled
     backbone features drawn from the two domains,
-  * shared risk — detection loss of the always-on head over a mixed
-    source+target batch,
-  * per-domain risk — detection loss where each sample is scored by the
-    head belonging to its own domain.
+  * shared risk — detection loss of the always-on head over the source
+    and the target batch,
+  * per-domain risk — detection loss of each batch scored by the head of
+    the domain its role names: the source batch by the source head, the
+    target batch by the target head.
 
 The total objective is::
 
@@ -53,6 +54,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -220,27 +223,23 @@ def _matches(batch, model):
             for s in batch]
 
 
-def _risk_sum(feats, batch, matches, model, by_domain: bool):
-    """Sum of per-sample normalized losses over a batch.
+def _risk_sum(cls: Tensor, loc: Tensor, matches):
+    """The batch's summed per-sample normalized losses on one head's (B, A, K)
+    logits and (B, A, 4) offsets, as one op, the samples added left to right.
 
-    Each sample is scored by the shared head, or with by_domain by the head
-    of its own domain; predict runs once per head over the whole batch, and
-    each sample's loss is one op on that head's outputs.
     Returns (sum Tensor, cls float, loc float).
     """
-    heads = [int(s.domain) if by_domain else "invariant" for s in batch]
-    total = None
-    cls_val = 0.0
-    loc_val = 0.0
-    for head in sorted(set(heads)):
-        cls, loc = model.predict(feats, head)
-        for b, match in enumerate(matches):
-            if heads[b] == head:
-                sample, c, l = detection_loss_terms(cls, loc, b, match)
-                cls_val += c
-                loc_val += l
-                total = sample if total is None else total + sample
-    return total, cls_val, loc_val
+    values, cls_parts, loc_parts, add_grads = zip(*[
+        detection_loss_terms(cls.data[b], loc.data[b], match) for b, match in enumerate(matches)])
+
+    def backward_fn(g):
+        dcls, dloc = np.zeros_like(cls.data), np.zeros_like(loc.data)
+        for b, add_grad in enumerate(add_grads):
+            add_grad(g, dcls[b], dloc[b])
+        return dcls, dloc
+
+    return (_op(reduce(add, values), (cls, loc), backward_fn),
+            reduce(add, cls_parts, 0.0), reduce(add, loc_parts, 0.0))
 
 
 def invariant_risk(batch, model) -> Tensor:
@@ -266,19 +265,19 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
     matches = [_matches(batch, model) for batch in batches]
     n = sum(len(batch) for batch in batches)
 
-    def mean_risk(feat_list, by_domain):  # the Tensor sum starts at sums[0]: no 0 + Tensor op
-        sums, cls, loc = zip(*[_risk_sum(f, batch, m, model, by_domain)
-                               for f, batch, m in zip(feat_list, batches, matches)])
+    def mean_risk(heads, feat_list):  # the Tensor sum starts at sums[0]: no 0 + Tensor op
+        sums, cls, loc = zip(*[_risk_sum(*model.predict(f, head), m)
+                               for head, f, m in zip(heads, feat_list, matches)])
         return sum(sums[1:], sums[0]) * (1.0 / n), sum(cls) / n, sum(loc) / n
 
-    l_i, i_cls, i_loc = mean_risk(feats, False)
+    l_i, i_cls, i_loc = mean_risk(["invariant"] * len(batches), feats)
     if len(batches) == 1:
         v = float(l_i.data)
         return l_i, LossBreakdown(l_i=v, l_risk=v, l_total=v, l_i_cls=i_cls, l_i_loc=i_loc)
 
     with _graph_unless_zero(cfg.lambda_risk):
         rev = [[grad_reverse(f, 1.0) for f in fs] for fs in feats]
-        l_d, d_cls, d_loc = mean_risk(rev, True)
+        l_d, d_cls, d_loc = mean_risk((DomainLabel.SOURCE, DomainLabel.TARGET), rev)
 
     with _graph_unless_zero(cfg.lambda_rep):
         rep = rep_loss(feats[0][-1], feats[1][-1], classifier, cfg.grl_lambda)

@@ -35,7 +35,7 @@ from .container import atomic_open
 from .detector.inference import forward_detect, save_detections
 from .detector.model import Detector, ModelSpec
 from .jsonconfig import from_json_dict
-from .lirr import DomainClassifier, LirrConfig, train_step
+from .lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
 from .synthgen import load_dataset
 
 
@@ -52,17 +52,19 @@ _STREAM_INIT = 0
 @dataclass(frozen=True)
 class _Split:
     """A training split: where its path lives, what it is called in errors
-    and counters, the (seed, stream) tag of its batch order, and whether
-    label_budget trims it."""
+    and counters, the domain every record must name, the (seed, stream) tag
+    of its batch order, and whether label_budget trims it."""
     path_field: str
     what: str
     counter: str
+    domain: DomainLabel
     stream: int
     budgeted: bool
 
 
-_SOURCE = _Split("source_path", "source train", "source_samples", 1, budgeted=False)
-_TARGET = _Split("target_train_path", "target train", "target_train_samples", 2, budgeted=True)
+_SOURCE = _Split("source_path", "source train", "source_samples", DomainLabel.SOURCE, 1, budgeted=False)
+_TARGET = _Split("target_train_path", "target train", "target_train_samples", DomainLabel.TARGET, 2,
+                 budgeted=True)
 
 # The one place that decides what a mode may read. A split missing here is
 # never opened, and the training step sees None in its place.
@@ -200,7 +202,12 @@ def _load_split(path: str, what: str, spec: ModelSpec):
 
 
 def _load_training_split(config: ExperimentConfig, split: _Split):
-    samples = _load_split(getattr(config, split.path_field), split.what, config.model_spec)
+    path = getattr(config, split.path_field)
+    samples = _load_split(path, split.what, config.model_spec)
+    wrong = next((s for s in samples if s.domain != split.domain), None)
+    if wrong is not None:  # the step scores each batch by the head of its split's domain
+        raise ValueError(f"{split.what} dataset has image_id {wrong.image_id} of domain "
+                         f"{wrong.domain.name}, not {split.domain.name}: {path}")
     if split.budgeted:
         if config.label_budget > len(samples):
             raise ValueError(

@@ -1,13 +1,14 @@
-"""The detection risk as the package built it before each sample's loss
-became one tape op.
+"""The detection risk as the package built it before each sample's loss,
+and then each batch's risk under one head, became one tape op.
 
 `gather_rows`, `softmax_cross_entropy` and `smooth_l1` are the autodiff
 ops the loss was assembled from, `detection_loss_terms` is the per-image
 loss over (A, K) logits and (A, 4) offsets, and `risk_sum` is the loop
-that gathered each sample's anchor rows out of the flattened head outputs
-and added up `(cls + loc) * norm`; `sample_loss` is one pass of that loop.
-The one-op `lirrdet.detector.loss.detection_loss_terms` and
-`lirrdet.lirr._risk_sum` must match them bit for bit, sign bits included.
+that gathered each sample's anchor rows out of one head's flattened
+outputs and added up `(cls + loc) * norm`; `sample_loss` is one pass of
+that loop. The numpy `lirrdet.detector.loss.detection_loss_terms` and the
+one-op `lirrdet.lirr._risk_sum` must match them bit for bit, sign bits
+included.
 """
 
 import numpy as np
@@ -101,26 +102,21 @@ def sample_loss(cls: Tensor, loc: Tensor, b: int, match):
     return (ct + lt) * norm, float(ct.data) * norm, float(lt.data) * norm
 
 
-def risk_sum(feats, batch, matches, model, by_domain: bool):
-    """`lirrdet.lirr._risk_sum` as it was: (sum Tensor, cls float, loc float)."""
-    heads = [int(s.domain) if by_domain else "invariant" for s in batch]
+def risk_sum(cls: Tensor, loc: Tensor, matches):
+    """`lirrdet.lirr._risk_sum` as it was, on one head's (B, A, K) and (B, A, 4)
+    outputs: (sum Tensor, cls float, loc float)."""
+    num_anchors = cls.data.shape[1]
+    flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
+    flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
     total = None
     cls_val = 0.0
     loc_val = 0.0
-    for head in sorted(set(heads)):
-        cls, loc = model.predict(feats, head)
-        num_anchors = cls.data.shape[1]
-        flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
-        flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
-        for b, match in enumerate(matches):
-            if heads[b] != head:
-                continue
-            rows = slice(b * num_anchors, (b + 1) * num_anchors)
-            ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, rows),
-                                                gather_rows(flat_loc, rows), match)
-            norm = 1.0 / max(npos, 1)
-            sample = (ct + lt) * norm
-            cls_val += float(ct.data) * norm
-            loc_val += float(lt.data) * norm
-            total = sample if total is None else total + sample
+    for b, match in enumerate(matches):
+        rows = slice(b * num_anchors, (b + 1) * num_anchors)
+        ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, rows), gather_rows(flat_loc, rows), match)
+        norm = 1.0 / max(npos, 1)
+        sample = (ct + lt) * norm
+        cls_val += float(ct.data) * norm
+        loc_val += float(lt.data) * norm
+        total = sample if total is None else total + sample
     return total, cls_val, loc_val

@@ -32,7 +32,7 @@ def invariant_risk(batch, model) -> Tensor:
         raise ValueError("invariant_risk: empty batch")
     _check_labeled(batch, model)
     feats = model.features(_stack_images(batch))
-    total, _, _ = _risk_sum(feats, batch, _matches(batch, model), model, False)
+    total, _, _ = _risk_sum(*model.predict(feats, "invariant"), _matches(batch, model))
     return total * (1.0 / len(batch))
 
 

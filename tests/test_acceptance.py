@@ -25,10 +25,9 @@ from lirrdet.coco_eval import (EvalInput, RECALL_GRID, average_precision,
                                evaluate, match_detections)
 from lirrdet.detector.anchors import generate_anchors
 from lirrdet.detector.boxes import Detection, decode_boxes, encode_boxes
-from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.detector.matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.model import Detector, ModelSpec, anchor_order
-from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, domain_bce, train_step
+from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, _risk_sum, domain_bce, train_step
 from lirrdet.pipeline import ExperimentConfig, run_experiment, evaluate_checkpoint
 from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, make_benchmark,
                               render_scene, render_scene_parts, save_dataset,
@@ -106,17 +105,23 @@ def op_cases(rng):
     sl_delta = np.where(rng.random((5, 4)) < 0.5,
                         rng.uniform(-0.7, 0.7, (5, 4)),
                         _signed(rng, (5, 4), 1.3, 2.0))
-    # sample 1 of a (2, 8) batch: 2 positives and 4 negatives, all of which are
-    # mined (4 <= 3 * 2), so no step changes the sampled set; the positives'
-    # residuals stay away from the smooth-l1 kink
+    # a (2, 8) batch: 1 positive and 3 negatives, then 2 positives and 4
+    # negatives, every negative mined (3 <= 3 * 1, 4 <= 3 * 2), so no step
+    # changes the sampled sets; the positives' residuals stay away from the
+    # smooth-l1 kink
     dl_cls = rng.normal(size=(2, 8, 3))
     dl_loc = rng.normal(size=(2, 8, 4))
-    dl_gt = np.array([0, NEGATIVE, IGNORE, 1, NEGATIVE, NEGATIVE, IGNORE, NEGATIVE])
-    dl_targets = np.zeros((8, 4))
-    dl_targets[[0, 3]] = dl_loc[1, [0, 3]] - np.where(rng.random((2, 4)) < 0.5,
-                                                      rng.uniform(-0.7, 0.7, (2, 4)),
-                                                      _signed(rng, (2, 4), 1.3, 2.0))
-    dl_match = MatchResult(dl_gt, np.array([1, 0, -1, 2, 0, 0, -1, 0]), dl_targets, 2)
+    dl_matches = []
+    for b, gt in enumerate(([NEGATIVE, 0, NEGATIVE, IGNORE, IGNORE, NEGATIVE, IGNORE, IGNORE],
+                            [0, NEGATIVE, IGNORE, 1, NEGATIVE, NEGATIVE, IGNORE, NEGATIVE])):
+        gt = np.array(gt)
+        pos = np.flatnonzero(gt >= 0)
+        targets = np.zeros((8, 4))
+        targets[pos] = dl_loc[b, pos] - np.where(rng.random((len(pos), 4)) < 0.5,
+                                                 rng.uniform(-0.7, 0.7, (len(pos), 4)),
+                                                 _signed(rng, (len(pos), 4), 1.3, 2.0))
+        classes = np.where(gt >= 0, rng.integers(1, 3, size=8), np.where(gt == NEGATIVE, 0, -1))
+        dl_matches.append(MatchResult(gt, classes, targets, len(pos)))
     # two levels of head outputs (N, per_cell * 3, H, W): 2 anchors per cell on a
     # 2x3 grid, 1 anchor per cell on a 1x2 grid
     head0 = rng.normal(size=(2, 6, 2, 3))
@@ -149,10 +154,8 @@ def op_cases(rng):
          lambda x: dot(anchor_order([x, Tensor(head1)], 3))),
         ("anchor_order_level1", head1,
          lambda x: dot(anchor_order([Tensor(head0), x], 3))),
-        ("detection_loss_cls", dl_cls,
-         lambda z: detection_loss_terms(z, Tensor(dl_loc), 1, dl_match)[0]),
-        ("detection_loss_loc", dl_loc,
-         lambda x: detection_loss_terms(Tensor(dl_cls), x, 1, dl_match)[0]),
+        ("detection_loss_cls", dl_cls, lambda z: _risk_sum(z, Tensor(dl_loc), dl_matches)[0]),
+        ("detection_loss_loc", dl_loc, lambda x: _risk_sum(Tensor(dl_cls), x, dl_matches)[0]),
     ]
     # the alignment term's cross entropy (before rep_loss's shift) on maps of
     # unequal batch and spatial sizes, one case per input; a map under test
@@ -286,7 +289,7 @@ def test_criterion_1_has_a_case_for_every_op(monkeypatch):
     wanted = {f for f in wanted if f[1] != "grad_reverse"}
     # the scan must at least find the ops the package is known to record
     assert {f[1] for f in wanted} >= {"_binary", "relu", "reshape", "conv2d", "anchor_order",
-                                       "detection_loss_terms", "domain_bce"}, wanted
+                                       "_risk_sum", "domain_bce"}, wanted
     assert wanted <= reached, f"ops with no criterion-1 case: {sorted(wanted - reached)}"
 
 
@@ -562,7 +565,7 @@ def test_criterion_4_reference_agreement():
                  float(rng.integers(1, 10)) / 10.0)
                 for _ in range(rng.integers(0, 12))]
         thr = float(rng.uniform(0.3, 0.8))
-        np.testing.assert_array_equal(match_detections(dets, gts, thr),
+        np.testing.assert_array_equal(match_detections(dets, gts, (thr,))[0],
                                       ref_match_detections(dets, gts, thr))
         n_det += 1
 

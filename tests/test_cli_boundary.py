@@ -394,6 +394,34 @@ def test_train_on_a_class_the_model_lacks_is_one_error_line(splits_dir, tmp_path
     assert code == 1 and err == f"error: image_id {samples[2].image_id}: class {bad} is not in 1..1\n", err
 
 
+@pytest.mark.parametrize("mode,key,what,name,want", [
+    ("SDA", "source_path", "source train", "target_train_full.bin", "SOURCE"),
+    ("SDA", "target_train_path", "target train", "source_train.bin", "TARGET"),
+    ("SourceOnly", "source_path", "source train", "target_train_full.bin", "SOURCE"),
+    ("Oracle", "target_train_path", "target train", "source_train.bin", "TARGET"),
+])
+def test_train_on_a_split_of_the_other_domain_is_one_error_line(splits_dir, tmp_path, mode, key, what,
+                                                                name, want):
+    # a swapped path used to train silently, and the step scores each batch by
+    # the head of its split's domain, so the source head would learn target images
+    cfg = _train_config(splits_dir, tmp_path, mode, **{key: name})
+    first = load_dataset(splits_dir / name).samples[0]
+    code, err = _run(["train", "--config", str(cfg)])
+    assert code == 1 and err == (f"error: {what} dataset has image_id {first.image_id} of domain "
+                                 f"{first.domain.name}, not {want}: {splits_dir / name}\n"), err
+    assert _no_loss_lines(tmp_path)
+
+
+def test_train_on_a_split_with_one_record_of_the_other_domain_is_one_error_line(splits_dir, tmp_path):
+    samples = load_dataset(splits_dir / "source_train.bin").samples
+    samples[2].domain = DomainLabel.TARGET
+    save_dataset(samples, tmp_path / "mixed.bin")
+    cfg = _train_config(splits_dir, tmp_path, source_path=str(tmp_path / "mixed.bin"))
+    code, err = _run(["train", "--config", str(cfg)])
+    assert code == 1 and err == (f"error: source train dataset has image_id {samples[2].image_id} of domain "
+                                 f"TARGET, not SOURCE: {tmp_path / 'mixed.bin'}\n"), err
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
 @pytest.mark.parametrize("command", sorted(VALID))
 def test_out_that_is_not_a_directory_is_one_error_line(stubs, monkeypatch, splits_dir, tmp_path, command,

@@ -132,29 +132,29 @@ class TestMatchDetections:
     def test_perfect_single(self):
         gts = [((0, 0, 10, 10), 1)]
         dets = [((0, 0, 10, 10), 1, 0.9)]
-        assert match_detections(dets, gts, 0.5).tolist() == [True]
+        assert match_detections(dets, gts, (0.5,))[0].tolist() == [True]
 
     def test_greedy_consumption(self):
         gts = [((0, 0, 10, 10), 1)]
         dets = [((0, 0, 10, 10), 1, 0.6), ((1, 1, 10, 10), 1, 0.9)]
-        flags = match_detections(dets, gts, 0.5)
+        flags = match_detections(dets, gts, (0.5,))[0]
         assert flags.tolist() == [False, True]  # higher score matched first
 
     def test_class_mismatch_is_fp(self):
         gts = [((0, 0, 10, 10), 1)]
         dets = [((0, 0, 10, 10), 2, 0.9)]
-        assert match_detections(dets, gts, 0.5).tolist() == [False]
+        assert match_detections(dets, gts, (0.5,))[0].tolist() == [False]
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            match_detections([], [], 0.0)
+            match_detections([], [], (0.0,))
 
     @pytest.mark.parametrize("seed,make", [(s, ten_by_ten) for s in range(10)]
                              + [(10, hundred_by_ten)],
                              ids=[*map(str, range(10)), "100x10"])
     def test_matches_reference_10x10(self, seed, make):
         dets, gts = make(np.random.default_rng(700 + seed))
-        got = match_detections(dets, gts, 0.5)
+        got = match_detections(dets, gts, (0.5,))[0]
         want = ref_match(dets, gts, 0.5)
         assert got.tolist() == want
 
@@ -244,8 +244,8 @@ class TestEvaluate:
             evaluate(inp, thresholds=(0.5, thr))
 
     def test_equals_per_threshold_matching_bit_for_bit(self):
-        # evaluate thresholds one IoU matrix per (image, class); pooling
-        # match_detections' flags threshold by threshold gives the same bits
+        # evaluate matches each image once at every threshold; matching each
+        # (image, class) at one threshold at a time and pooling gives the same bits
         inp = random_eval_input(np.random.default_rng(39), num_images=30, num_classes=3)
         classes = sorted({c for gts in inp.gt.values() for _, c in gts}
                          | {c for dets in inp.detections.values() for _, c, _ in dets})
@@ -257,7 +257,7 @@ class TestEvaluate:
                 for iid in sorted(inp.gt):
                     dets = [d for d in inp.detections.get(iid, []) if d[1] == c]
                     scores += [d[2] for d in dets]
-                    flags.append(match_detections(dets, [g for g in inp.gt[iid] if g[1] == c], thr))
+                    flags.append(match_detections(dets, [g for g in inp.gt[iid] if g[1] == c], (thr,))[0])
                 pooled = np.concatenate(flags)[np.argsort(np.negative(scores), kind="stable")]
                 aps.append(average_precision(pooled, sum(g[1] == c for gts in inp.gt.values()
                                                          for g in gts)))
@@ -306,7 +306,7 @@ class TestEvaluateProperties:
         for k, thr in enumerate(IOU_THRESHOLDS):
             cleaned = {}
             for iid, dets in inp.detections.items():
-                flags = match_detections(dets, inp.gt[iid], thr)
+                flags = match_detections(dets, inp.gt[iid], (thr,))[0]
                 cleaned[iid] = [d for d, f in zip(dets, flags) if f]
             rep = evaluate(EvalInput(gt=inp.gt, detections=cleaned), thresholds=(thr,))
             assert rep.per_threshold[0] >= base.per_threshold[k] - 1e-12

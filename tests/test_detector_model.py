@@ -20,8 +20,8 @@ from lirrdet.detector import (
     match_anchors,
     save_detections,
 )
-from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.detector.model import anchor_order
+from lirrdet.lirr import _risk_sum
 from lirrdet.detector.boxes import Detection, decode_boxes
 from lirrdet.detector.inference import MAX_DETS, NMS_THR
 
@@ -45,7 +45,7 @@ def detection_loss(cls_logits, box_offsets, match):
     """One image's loss over (A, K) logits and (A, 4) offsets, as the
     training objective normalizes it."""
     a, k = cls_logits.data.shape
-    return detection_loss_terms(cls_logits.reshape(1, a, k), box_offsets.reshape(1, a, 4), 0, match)[0]
+    return _risk_sum(cls_logits.reshape(1, a, k), box_offsets.reshape(1, a, 4), [match])[0]
 
 
 class TestModelWiring:

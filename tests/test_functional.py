@@ -121,8 +121,8 @@ def test_conv2d_rule_returns_no_dx_for_untracked_input(stride):
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 3, 6, 5)))
     k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-    out = conv2d(x, k, stride=stride, padding=1)
-    dx, dk = out._entry.backward(np.ones_like(out.data))
+    out = conv2d(x, k, Tensor(np.zeros(4)), stride=stride, padding=1)
+    dx, dk, _ = out._entry.backward(np.ones_like(out.data))
     assert dx is None and dk.shape == k.data.shape
     backward(dot(out))  # sweep the entry off this thread's tape
 
@@ -135,9 +135,10 @@ def test_conv2d_tape_keeps_no_padded_input(stride, padding):
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(4, 8, 16, 16)), requires_grad=True)
     k = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(8))
     tracemalloc.start()
     try:
-        out = conv2d(x, k, stride=stride, padding=padding)
+        out = conv2d(x, k, b, stride=stride, padding=padding)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -152,7 +153,7 @@ class TestConv2d:
     def test_sum_kernel(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         k = Tensor(np.ones((1, 1, 2, 2)))
-        out = conv2d(x, k)
+        out = conv2d(x, k, Tensor(np.zeros(1)))
         np.testing.assert_allclose(out.data, [[[[10.0]]]])
 
     def test_identity_kernel(self):
@@ -161,17 +162,17 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1), dtype=np.float32)
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        out = conv2d(Tensor(x), Tensor(k))
+        out = conv2d(Tensor(x), Tensor(k), Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, x, rtol=1e-6)
 
     def test_output_geometry(self):
         x = Tensor(np.zeros((1, 1, 7, 9)))
         k = Tensor(np.zeros((2, 1, 3, 3)))
-        assert conv2d(x, k, stride=2, padding=1).data.shape == (1, 2, 4, 5)
+        assert conv2d(x, k, Tensor(np.zeros(2)), stride=2, padding=1).data.shape == (1, 2, 4, 5)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 4, 4))))
+            conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros(1)))
 
     def test_direct_matches_im2col(self):
         rng = np.random.default_rng(7)
@@ -414,12 +415,12 @@ class TestCompositeModelGradient:
             w0 = rng.uniform(-1, 1, size=(2, 3))
 
             def f(x, k, w):
-                h = conv2d(Tensor(x), Tensor(k), stride=1, padding=1).relu()
+                h = conv2d(Tensor(x), Tensor(k), Tensor(np.zeros(2)), stride=1, padding=1).relu()
                 pooled = global_avg_pool(h)
                 return float(softmax_cross_entropy(matmul(pooled, Tensor(w)), [1]).data)
 
             tx, tk, tw = (Tensor(a, requires_grad=True) for a in (x0, k0, w0))
-            h = conv2d(tx, tk, stride=1, padding=1).relu()
+            h = conv2d(tx, tk, Tensor(np.zeros(2)), stride=1, padding=1).relu()
             loss = softmax_cross_entropy(matmul(global_avg_pool(h), tw), [1])
             backward(loss)
             nx, nk, nw = finite_diff_grads(f, [x0, k0, w0])

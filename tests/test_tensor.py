@@ -115,7 +115,7 @@ class TestTapeSemantics:
         try:
             x = Tensor(np.ones((1, 2, 5, 5)))
             w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
-            hidden = conv2d(x, w, padding=1)
+            hidden = conv2d(x, w, Tensor(np.zeros(3)), padding=1)
             alive = weakref.ref(hidden.data)
             loss = dot(hidden.relu())
             del hidden
