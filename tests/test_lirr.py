@@ -36,6 +36,7 @@ from lirrdet.lirr import (
 from _head_ref import head_set_call
 from _rep_ref import binary_cross_entropy_logit, classify, global_avg_pool, matmul
 from _rep_ref import rep_loss as ref_rep_loss
+from test_acceptance import _toy_batches
 from _risk_ref import detection_loss_terms as ref_loss_terms, gather_rows, risk_sum as ref_risk_sum, sample_loss
 from test_detector_model import SMALL_SPEC, detection_loss, small_model, ref_detection_loss, same_bits
 
@@ -500,6 +501,78 @@ class TestReducedObjectiveIdentity:
                 assert bd.l_total == base, f"diverged at step {step}"
             for p_a, p_b in zip(model_a.parameters(), model_b.parameters()):
                 np.testing.assert_array_equal(p_a.data, p_b.data)
+
+
+class TestPerPlayerGradients:
+    """Each parameter group gets the derivative of its own player's loss in the
+    minimax (gradient reversal: Ganin & Lempitsky 2015; LIRR, Li et al. 2021).
+    With lambda_risk λr, lambda_rep λa, grl_lambda γ and the LossBreakdown fields:
+
+      backbone            (1 + λr)·l_i − λr·l_d + γ·λa·l_rep
+      invariant head      (1 + λr)·l_i
+      each domain head    λr·l_d
+      domain classifier   −λa·l_rep   (l_rep is minus the cross entropy)
+
+    A supervised step's players are l_i for the backbone and the invariant head.
+    A step's gradients are checked against central differences (step FD_H) of
+    the player's scalar read from LossBreakdown under no_grad, in float64 on
+    criterion 3's toy model and batches, at coordinates drawn from a fixed
+    generator, PER_TENSOR in every parameter tensor; the error is
+    |grad - fd| / max(|fd|, 1)."""
+
+    FD_H = 1e-6
+    FD_TOL = 1e-6
+    PER_TENSOR = 2
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.1, 1.0), (0.7, 0.3, 0.6), (0.0, 0.5, 1.0),
+                                         (0.4, 0.0, 1.0), None],
+                             ids=lambda w: "supervised" if w is None else "risk{}-rep{}-grl{}".format(*w))
+    def test_each_group_gets_its_players_gradient(self, weights):
+        src, tgt = _toy_batches()
+        with precision("float64"):
+            rng = np.random.default_rng(11)
+            model = Detector(ModelSpec(image_size=16, widths=(4, 8, 12, 16)), rng=rng)
+            c = DomainClassifier(16, rng=rng)
+            if weights is None:
+                src, c, cfg = None, None, LirrConfig()
+                players = {"backbone": lambda bd: bd.l_i, "invariant_head": lambda bd: bd.l_i,
+                           "domain_heads": lambda bd: 0.0}
+            else:
+                lam_risk, lam_rep, gamma = weights
+                cfg = LirrConfig(lambda_rep=lam_rep, lambda_risk=lam_risk, grl_lambda=gamma)
+                players = {
+                    "backbone": lambda bd: ((1 + lam_risk) * bd.l_i - lam_risk * bd.l_d
+                                            + gamma * lam_rep * bd.l_rep),
+                    "invariant_head": lambda bd: (1 + lam_risk) * bd.l_i,
+                    "domain_heads": lambda bd: lam_risk * bd.l_d,
+                    "classifier": lambda bd: -lam_rep * bd.l_rep,
+                }
+            groups = {}
+            for name, p in model.named_parameters():
+                group = "backbone" if re.fullmatch(r"conv\d\..*", name) else name.split(".")[0]
+                groups.setdefault(group, []).append(p)
+            if c is not None:
+                groups["classifier"] = c.parameters()
+            assert groups.keys() == players.keys()
+
+            params = [p for ps in groups.values() for p in ps]
+            train_step(src, tgt, model, c, SGD(params, lr=0.0), cfg)
+            draw = np.random.default_rng(0)
+            worst = {}
+            for group, ps in groups.items():
+                for p in ps:
+                    grad = np.zeros_like(p.data) if p.grad is None else p.grad
+                    for i in draw.integers(p.data.size, size=self.PER_TENSOR):
+                        saved = p.data.flat[i]
+                        p.data.flat[i] = saved + self.FD_H
+                        up = players[group](lirr_loss(src, tgt, model, c, cfg))
+                        p.data.flat[i] = saved - self.FD_H
+                        down = players[group](lirr_loss(src, tgt, model, c, cfg))
+                        p.data.flat[i] = saved
+                        fd = (up - down) / (2.0 * self.FD_H)
+                        err = abs(grad.flat[i] - fd) / max(abs(fd), 1.0)
+                        worst[group] = max(worst.get(group, 0.0), err)
+        assert max(worst.values()) < self.FD_TOL, worst
 
 
 @st.composite
