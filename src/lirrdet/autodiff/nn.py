@@ -91,7 +91,7 @@ class Conv2d(Module):
 
 
 class Linear(Module):
-    """Holds a dense layer's parameters, x @ weight + bias; lirr.domain_bce applies them."""
+    """Holds a dense layer's parameters, x @ weight + bias; lirr.rep_loss applies them."""
 
     def __init__(self, in_features: int, out_features: int, *, rng: np.random.Generator):
         self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features))

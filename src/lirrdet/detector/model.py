@@ -1,7 +1,8 @@
 """Single-shot detector: shared conv backbone, per-level prediction heads.
 
 Three head sets consume the same backbone features: one trained on every
-domain, plus one per domain selected by an integer domain id. Head output
+domain, plus one for each of the two domains, indexed by the values of
+``lirr.DomainLabel`` (0 source, 1 target). Head output
 channels pack as anchor-within-cell major, class minor. ``anchor_order``
 lays the per-level outputs of one kind out as one (N, A, width) tensor in
 the anchor grid's order (level, row, column, anchor within the cell), as
@@ -20,6 +21,7 @@ from .anchors import LevelSpec, generate_anchors
 
 # strides of the two backbone feature maps the heads read, finest first
 HEAD_STRIDES = (8, 16)
+NUM_DOMAINS = 2  # domain head sets, one per lirr.DomainLabel value (lirr imports this module)
 
 DEFAULT_LEVELS = (
     LevelSpec(stride=8, scales=(10.0, 16.0), aspects=(1.0, 2.0, 0.5)),
@@ -34,7 +36,6 @@ class ModelSpec:
     num_classes: int = 1          # foreground classes; background is class id 0
     widths: tuple = (16, 32, 48, 64)
     levels: tuple = DEFAULT_LEVELS
-    num_domains: int = 2
 
     def __post_init__(self):
         strides = tuple(lv.stride for lv in self.levels)
@@ -46,7 +47,7 @@ class ModelSpec:
         if self.image_size <= 0 or self.image_size % HEAD_STRIDES[-1]:
             raise ValueError(f"image_size must be a positive multiple of {HEAD_STRIDES[-1]}, "
                              f"got {self.image_size}")
-        for name in ("in_channels", "num_classes", "num_domains"):
+        for name in ("in_channels", "num_classes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -107,7 +108,7 @@ class Detector(Module):
         feat_channels = (w3, w4)
         self.invariant_head = HeadSet(feat_channels, spec.levels, spec.num_logits, rng=rng)
         self.domain_heads = [HeadSet(feat_channels, spec.levels, spec.num_logits, rng=rng)
-                             for _ in range(spec.num_domains)]
+                             for _ in range(NUM_DOMAINS)]
         self.spec = spec
         self.anchors = generate_anchors(spec.image_size, spec.levels)  # (A, 4)
 
@@ -120,7 +121,7 @@ class Detector(Module):
         return [f3, f4]
 
     def predict(self, feats, head="invariant"):
-        """head is "invariant" or an integer domain id."""
+        """head is "invariant" or a lirr.DomainLabel (0 source, 1 target)."""
         if head == "invariant":
             return self.invariant_head(feats)
         return self.domain_heads[int(head)](feats)

@@ -16,31 +16,25 @@ The total objective is::
     total = shared + lambda_risk * (shared - per_domain) + lambda_rep * rep
 
 with the backbone and shared head minimizing it while the domain
-classifier and the per-domain heads are simultaneously driven to their
-own optima. One backward pass serves every player; the opposing
-directions are arranged with gradient reversal layers and value-neutral
-constant shifts rather than alternating updates.
+classifier and the per-domain heads are driven to their own optima, all in
+one backward pass: the saddle point of gradient reversal (Ganin &
+Lempitsky 2015), not alternating updates. The backward target is the
+weighted sum of the losses the players descend::
 
-Sign handling, spelled out because it is easy to get backwards:
+    (1 + lambda_risk) * shared + lambda_risk * per_domain + lambda_rep * bce
 
-  * rep term. The reported value is
-    E_src[log sigma(C(h))] + E_tgt[log(1 - sigma(C(h)))], which a perfect
-    classifier drives to 0 from below. Internally the term is the binary
-    cross entropy of C on the domain-labeling task (the negation of that
-    value), so plain descent trains C to separate; the op hands the
-    pooled features the negated gradient (scaled by grl_lambda), as a
-    reversal layer before C would, pushing the backbone toward
-    indistinguishable features. A constant shift of -2x the detached cross entropy turns
-    the returned value back into the conventional form without touching
-    any gradient.
+and gradient reversal alone supplies every minus sign:
 
-  * per-domain risk enters the total with a negative coefficient, so its
-    raw gradient would push the per-domain heads to get worse. A reversal
-    layer on the features entering those heads (unit strength) flips the
-    sign once: head parameters descend their own detection loss, while
-    the backbone receives the negated gradient the minus sign calls for.
-    risk_loss adds the matching constant shift so its value reads
-    shared + lambda_risk * (shared - per_domain) exactly.
+  * rep term. bce, rep_loss's value, is the domain classifier's cross
+    entropy; the op hands the pooled features -grl_lambda times their
+    gradient, as a reversal layer before the classifier would. The
+    reported rep is -bce = E_src[log sigma(C(h))] + E_tgt[log(1 - sigma(C(h)))],
+    which a perfect classifier drives to 0 from below.
+  * per-domain risk. A unit reversal layer on the features entering the
+    per-domain heads: the heads descend their own detection loss, and the
+    backbone gets the -lambda_risk the total calls for.
+
+LossBreakdown alone forms the reported total, from the terms' floats.
 
 Setting a weight to exactly 0.0 skips building that term's graph, which
 keeps the reduced objective bit-for-bit identical to a plain supervised
@@ -111,7 +105,7 @@ class LossBreakdown:  # a term the objective did not compute reads 0.0
 
 
 class DomainClassifier(Module):
-    """Two-layer MLP on pooled backbone features, one domain logit out; domain_bce runs it."""
+    """Two-layer MLP on pooled backbone features, one domain logit out; rep_loss runs it."""
 
     def __init__(self, in_features: int, *, rng: np.random.Generator):
         self.fc1 = Linear(in_features, CLASSIFIER_HIDDEN, rng=rng)
@@ -127,11 +121,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def domain_bce(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
-               grl_lambda: float) -> Tensor:
-    """One op: the classifier's mean cross entropy on each spatially pooled map,
-    target 1 for source and 0 for target, summed. The classifier's parameters
-    get the derivative, each map -grl_lambda times it."""
+def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
+             grl_lambda: float = 1.0) -> Tensor:
+    """The alignment term's cross entropy as one op: the classifier's mean BCE on
+    each spatially pooled (N, C, H, W) map, summed, target 1 for source and 0
+    for target (its sigmoid reads "from the source batch"; DomainLabel plays no
+    role here). The classifier's parameters get the derivative, each map -grl_lambda times it."""
     params = [p for fc in (classifier.fc1, classifier.fc2) for p in (fc.weight, fc.bias)]
     w1, b1, w2, b2 = (p.data for p in params)
     maps = (feat_src.data, feat_tgt.data)
@@ -168,36 +163,6 @@ def domain_bce(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
         return (*feat_grads, *(t + s for s, t in zip(*param_grads)))
 
     return _op(bce[0] + bce[1], (feat_src, feat_tgt, *params), backward_fn)
-
-
-def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
-             grl_lambda: float = 1.0) -> Tensor:
-    """Alignment term. Value: E_src[log sigma] + E_tgt[log(1 - sigma)].
-
-    The features are (N, C, H, W) maps, pooled over space. Gradients descend
-    the underlying cross entropy (domain_bce, one op) for the classifier and
-    reverse (scaled by grl_lambda) into whatever produced the features.
-
-    The classifier's sigmoid reads as "probability the features came from
-    the source batch" (cross-entropy target 1 for source). That is a local
-    convention of this term only; DomainLabel's integer values index the
-    per-domain heads and play no role here.
-    """
-    bce = domain_bce(feat_src, feat_tgt, classifier, grl_lambda)
-    return bce - 2.0 * float(bce.data)
-
-
-def risk_loss(l_i: Tensor, l_d: Tensor, lambda_risk: float) -> Tensor:
-    """shared + lambda_risk * (shared - per_domain), as a value.
-
-    The per-domain term carries a +lambda_risk gradient coefficient here;
-    the caller puts a reversal layer on the features feeding the
-    per-domain heads so every parameter group moves the right way.
-    """
-    if lambda_risk == 0.0:
-        return l_i
-    shift = 2.0 * lambda_risk * float(l_d.data)
-    return l_i * (1.0 + lambda_risk) + l_d * lambda_risk - shift
 
 
 def _check_labeled(batch, model):
@@ -280,15 +245,11 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
         l_d, d_cls, d_loc = mean_risk((DomainLabel.SOURCE, DomainLabel.TARGET), rev)
 
     with _graph_unless_zero(cfg.lambda_rep):
-        rep = rep_loss(feats[0][-1], feats[1][-1], classifier, cfg.grl_lambda)
+        bce = rep_loss(feats[0][-1], feats[1][-1], classifier, cfg.grl_lambda)
 
-    total = risk_loss(l_i, l_d, cfg.lambda_risk)
-    if cfg.lambda_rep > 0.0:
-        total = total + rep * cfg.lambda_rep
+    total = l_i * (1.0 + cfg.lambda_risk) + l_d * cfg.lambda_risk + bce * cfg.lambda_rep
 
-    l_i_f = float(l_i.data)
-    l_d_f = float(l_d.data)
-    l_rep_f = float(rep.data)
+    l_i_f, l_d_f, l_rep_f = float(l_i.data), float(l_d.data), -float(bce.data)
     l_risk_f = l_i_f + cfg.lambda_risk * (l_i_f - l_d_f)
     return total, LossBreakdown(
         l_rep=l_rep_f, l_i=l_i_f, l_d=l_d_f, l_risk=l_risk_f,

@@ -3,9 +3,9 @@
 `matmul`, `bias_add`, `global_avg_pool` and `binary_cross_entropy_logit`
 are the autodiff ops it was assembled from, `Linear` is the dense layer
 that applied its parameters with them, `classify` is the old
-`DomainClassifier.__call__`, and `rep_loss` is the old `lirr.rep_loss`:
-pool, reverse, classify, then one cross entropy per domain.
-`lirrdet.lirr.domain_bce` and `rep_loss` must match them bit for bit, sign
+`DomainClassifier.__call__`, and `rep_loss` is the alignment term as
+those ops built it: pool, reverse, classify, then one cross entropy per
+domain, summed. `lirrdet.lirr.rep_loss` must match it bit for bit, sign
 bits included. The tests also use `matmul` as their scalar reduction.
 """
 
@@ -81,12 +81,11 @@ def classify(classifier, pooled: Tensor) -> Tensor:
 
 
 def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier, grl_lambda: float = 1.0) -> Tensor:
-    """The old `lirr.rep_loss`, 18 tape entries where the one-op form makes 2."""
+    """The alignment term as 17 tape entries where the one op makes 1."""
     hs, ht = global_avg_pool(feat_src), global_avg_pool(feat_tgt)
     if hs.data.shape[0] == 0 or ht.data.shape[0] == 0:
         raise ValueError("rep_loss: empty domain batch")
     zs = classify(classifier, grad_reverse(hs, grl_lambda))
     zt = classify(classifier, grad_reverse(ht, grl_lambda))
-    bce = binary_cross_entropy_logit(zs, np.ones(zs.data.shape)) \
+    return binary_cross_entropy_logit(zs, np.ones(zs.data.shape)) \
         + binary_cross_entropy_logit(zt, np.zeros(zt.data.shape))
-    return bce - 2.0 * float(bce.data)

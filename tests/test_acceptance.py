@@ -27,7 +27,7 @@ from lirrdet.detector.anchors import generate_anchors
 from lirrdet.detector.boxes import Detection, decode_boxes, encode_boxes
 from lirrdet.detector.matching import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.model import Detector, ModelSpec, anchor_order
-from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, _risk_sum, domain_bce, train_step
+from lirrdet.lirr import DomainClassifier, DomainLabel, LirrConfig, _risk_sum, rep_loss, train_step
 from lirrdet.pipeline import ExperimentConfig, run_experiment, evaluate_checkpoint
 from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, make_benchmark,
                               render_scene, render_scene_parts, save_dataset,
@@ -157,23 +157,23 @@ def op_cases(rng):
         ("detection_loss_cls", dl_cls, lambda z: _risk_sum(z, Tensor(dl_loc), dl_matches)[0]),
         ("detection_loss_loc", dl_loc, lambda x: _risk_sum(Tensor(dl_cls), x, dl_matches)[0]),
     ]
-    # the alignment term's cross entropy (before rep_loss's shift) on maps of
-    # unequal batch and spatial sizes, one case per input; a map under test
-    # passes grad_reverse(., 1.0), which cancels the op's own reversal
+    # the alignment term's cross entropy, rep_loss, on maps of unequal batch
+    # and spatial sizes, one case per input; a map under test passes
+    # grad_reverse(., 1.0), which cancels the op's own reversal
     clf = DomainClassifier(3, rng=rng)
     inputs = [rng.normal(size=(2, 3, 2, 3)), rng.normal(size=(3, 3, 1, 2))] \
         + [p.data.copy() for p in (clf.fc1.weight, clf.fc1.bias, clf.fc2.weight, clf.fc2.bias)]
 
-    def domain_bce_of(i):
+    def rep_loss_of(i):
         def build(x):
             t = [Tensor(a) for a in inputs]
             t[i] = grad_reverse(x, 1.0) if i < 2 else x
             fc1, fc2 = SimpleNamespace(weight=t[2], bias=t[3]), SimpleNamespace(weight=t[4], bias=t[5])
-            return domain_bce(t[0], t[1], SimpleNamespace(fc1=fc1, fc2=fc2), 1.0)
+            return rep_loss(t[0], t[1], SimpleNamespace(fc1=fc1, fc2=fc2), 1.0)
         return build
 
     names = ("src", "tgt", "fc1_weight", "fc1_bias", "fc2_weight", "fc2_bias")
-    cases += [(f"domain_bce_{name}", inputs[i], domain_bce_of(i)) for i, name in enumerate(names)]
+    cases += [(f"rep_loss_{name}", inputs[i], rep_loss_of(i)) for i, name in enumerate(names)]
     return cases
 
 
@@ -289,7 +289,7 @@ def test_criterion_1_has_a_case_for_every_op(monkeypatch):
     wanted = {f for f in wanted if f[1] != "grad_reverse"}
     # the scan must at least find the ops the package is known to record
     assert {f[1] for f in wanted} >= {"_binary", "relu", "reshape", "conv2d", "anchor_order",
-                                       "_risk_sum", "domain_bce"}, wanted
+                                       "_risk_sum", "rep_loss"}, wanted
     assert wanted <= reached, f"ops with no criterion-1 case: {sorted(wanted - reached)}"
 
 

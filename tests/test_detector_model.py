@@ -173,7 +173,7 @@ class TestModelSpec:
         ("levels", (FINE,)),
         ("widths", (8, 16, 24)), ("widths", (8, 16, 0, 32)),
         ("image_size", 40), ("image_size", 0),
-        ("in_channels", 0), ("num_classes", 0), ("num_domains", 0),
+        ("in_channels", 0), ("num_classes", 0),
     ])
     def test_bad_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
