@@ -31,8 +31,8 @@ def render_pool(spec, params, domain, start: int, count: int) -> list:
 
 def pooled_features(model, samples) -> np.ndarray:
     with no_grad():
-        x = Tensor(np.stack([s.image for s in samples]).astype(np.float32))
-        return model.features(x)[-1].data.mean(axis=(2, 3))
+        x = Tensor(np.stack([s.image for s in samples], axis=1).astype(np.float32))  # (C, N, H, W)
+        return model.features(x)[-1].data.mean(axis=(2, 3)).T
 
 
 def domain_separation(model, samples) -> float:

@@ -86,8 +86,13 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+    def __call__(self, x: Tensor, cols: np.ndarray | None = None) -> Tensor:
+        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding, cols=cols)
+
+    def columns(self, x: Tensor) -> np.ndarray:
+        """x's im2col columns, for the `cols` of every conv of this geometry that reads x."""
+        kh, kw = self.weight.data.shape[2:]
+        return F.im2col(x.data, kh, kw, self.stride, self.padding)
 
 
 class Linear(Module):

@@ -33,7 +33,7 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
             f"({spec.in_channels}, {spec.image_size}, {spec.image_size})")
 
     with no_grad():
-        feats = model.features(Tensor(x))
+        feats = model.features(Tensor(x.transpose(1, 0, 2, 3)))  # (C, 1, H, W), as the model reads
         cls, loc = model.predict(feats, "invariant")
 
     z = cls.data[0].astype(np.float64)

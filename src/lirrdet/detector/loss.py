@@ -4,9 +4,11 @@ Cross entropy over sampled anchors plus smooth L1 over positive anchors'
 offsets, divided by the positive count floored at 1 (SSD, Liu et al. 2016,
 arXiv:1512.02325, section 2.2). Negatives are hard-mined: the 3:1 highest
 background cross entropy among negatives, with the ratio applied to
-max(num_positive, 1). Over zero sampled rows (all anchors ignored) the loss
-is zero with zero gradients. `lirr._risk_sum` makes one tape op of a batch
-of these.
+max(num_positive, 1), highest first and ties in anchor order. An
+np.partition finds the cut, and only the candidates at or above it are
+stable-sorted; those are the rows one full stable sort would keep. Over
+zero sampled rows (all anchors ignored) the loss is zero with zero
+gradients. `lirr._risk_sum` makes one tape op of a batch of these.
 """
 
 from __future__ import annotations
@@ -39,8 +41,13 @@ def detection_loss_terms(logits: np.ndarray, offsets: np.ndarray, match: MatchRe
     norm = 1.0 / max(npos, 1)
 
     take = min(len(neg_idx), NEG_RATIO * max(npos, 1))
-    scores = _background_ce(logits[neg_idx])
-    sampled = np.concatenate([pos_idx, neg_idx[np.argsort(-scores, kind="stable")[:take]]])
+    neg = -_background_ce(logits[neg_idx])
+    cand = np.arange(len(neg))
+    if take < len(neg):  # the rows at or above the take-th; a NaN cut keeps all, NaN sorts last
+        kth = np.partition(neg, take - 1)[take - 1]
+        cand = cand if np.isnan(kth) else np.flatnonzero(neg <= kth)
+    hard = cand[np.argsort(neg[cand], kind="stable")[:take]]
+    sampled = np.concatenate([pos_idx, neg_idx[hard]])
     rows = np.arange(len(sampled))
     labels = np.concatenate([match.class_targets[pos_idx], np.zeros(take, dtype=np.int64)])
 

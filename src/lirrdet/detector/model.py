@@ -2,11 +2,14 @@
 
 Three head sets consume the same backbone features: one trained on every
 domain, plus one for each of the two domains, indexed by the values of
-``lirr.DomainLabel`` (0 source, 1 target). Head output
-channels pack as anchor-within-cell major, class minor. ``anchor_order``
-lays the per-level outputs of one kind out as one (N, A, width) tensor in
-the anchor grid's order (level, row, column, anchor within the cell), as
-one tape op.
+``lirr.DomainLabel`` (0 source, 1 target). Activations are channel-major,
+(C, N, H, W), from the stacked images through the head convs. Each head
+input is unrolled into im2col columns once (``HeadSet.columns``), and
+every head conv that reads it, in every head set, is handed those columns.
+Head output channels pack as anchor-within-cell major, class minor.
+``anchor_order`` lays the per-level outputs of one kind out as one
+(N, A, width) tensor in the anchor grid's order (level, row, column, anchor
+within the cell), as one tape op.
 """
 
 from __future__ import annotations
@@ -57,21 +60,21 @@ class ModelSpec:
 
 
 def anchor_order(outs, width: int) -> Tensor:
-    """Per-level head outputs (N, per_cell*width, H, W) as one (N, A, width)
-    tensor in anchor order: level, then row, then column, then anchor within
-    the cell. Each level's gradient is the same strided view of the upstream
-    gradient that a reshape, transpose, reshape and concat chain would give,
-    so the conv bias gradient's sum rounds as it would."""
-    n = outs[0].data.shape[0]
-    dims = [(o.data.shape[1] // width, *o.data.shape[2:]) for o in outs]  # (per_cell, H, W)
+    """Per-level channel-major head outputs (per_cell*width, N, H, W) as one
+    (N, A, width) tensor in anchor order: level, then row, then column, then
+    anchor within the cell. Each level's gradient is a strided view of the
+    upstream gradient, so the conv bias gradient's sum reads it in the
+    gradient's own (sample, row, column) order."""
+    n = outs[0].data.shape[1]
+    dims = [(o.data.shape[0] // width, *o.data.shape[2:]) for o in outs]  # (per_cell, H, W)
     ends = np.cumsum([pc * h * w for pc, h, w in dims])
 
     def backward_fn(g):
         return tuple(g[:, end - pc * h * w:end].reshape(n, h, w, pc, width)
-                     .transpose(0, 3, 4, 1, 2).reshape(n, pc * width, h, w)
+                     .transpose(3, 4, 0, 1, 2).reshape(pc * width, n, h, w)
                      for (pc, h, w), end in zip(dims, ends))
 
-    data = np.concatenate([o.data.reshape(n, pc, width, h, w).transpose(0, 3, 4, 1, 2)
+    data = np.concatenate([o.data.reshape(pc, width, n, h, w).transpose(2, 3, 4, 0, 1)
                            .reshape(n, h * w * pc, width) for o, (pc, h, w) in zip(outs, dims)], axis=1)
     return _op(data, tuple(outs), backward_fn)
 
@@ -92,8 +95,14 @@ class HeadSet(Module):
                       for c, lv in zip(feat_channels, levels)]
         self.num_logits = num_logits
 
-    def __call__(self, feats):
-        outs = [(head.cls(f), head.loc(f)) for head, f in zip(self.heads, feats)]
+    def columns(self, feats):
+        """Each level's im2col columns: one array that level's cls and loc
+        convs, and those of every head set, can read."""
+        return [head.cls.columns(f) for head, f in zip(self.heads, feats)]
+
+    def __call__(self, feats, cols=None):
+        cols = self.columns(feats) if cols is None else cols
+        outs = [(head.cls(f, c), head.loc(f, c)) for head, f, c in zip(self.heads, feats, cols, strict=True)]
         return (anchor_order([c for c, _ in outs], self.num_logits),
                 anchor_order([l for _, l in outs], 4))
 
@@ -113,15 +122,17 @@ class Detector(Module):
         self.anchors = generate_anchors(spec.image_size, spec.levels)  # (A, 4)
 
     def features(self, x: Tensor):
-        """Backbone; returns the feature maps at HEAD_STRIDES (8 and 16)."""
+        """Backbone over (C, N, H, W) images; returns the (C, N, H, W) feature
+        maps at HEAD_STRIDES (8 and 16)."""
         h = self.conv1(x).relu()
         h = self.conv2(h).relu()
         f3 = self.conv3(h).relu()
         f4 = self.conv4(f3).relu()
         return [f3, f4]
 
-    def predict(self, feats, head="invariant"):
-        """head is "invariant" or a lirr.DomainLabel (0 source, 1 target)."""
+    def predict(self, feats, head="invariant", cols=None):
+        """head is "invariant" or a lirr.DomainLabel (0 source, 1 target);
+        cols, if given, is HeadSet.columns(feats)."""
         if head == "invariant":
-            return self.invariant_head(feats)
-        return self.domain_heads[int(head)](feats)
+            return self.invariant_head(feats, cols)
+        return self.domain_heads[int(head)](feats, cols)

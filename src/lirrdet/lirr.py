@@ -124,25 +124,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
              grl_lambda: float = 1.0) -> Tensor:
     """The alignment term's cross entropy as one op: the classifier's mean BCE on
-    each spatially pooled (N, C, H, W) map, summed, target 1 for source and 0
-    for target (its sigmoid reads "from the source batch"; DomainLabel plays no
-    role here). The classifier's parameters get the derivative, each map -grl_lambda times it."""
+    each channel-major (C, N, H, W) map, pooled over H and W into an (N, C)
+    matrix, summed, target 1 for source and 0 for target (its sigmoid reads
+    "from the source batch"; DomainLabel plays no role here). The classifier's
+    parameters get the derivative, each map -grl_lambda times it."""
     params = [p for fc in (classifier.fc1, classifier.fc2) for p in (fc.weight, fc.bias)]
     w1, b1, w2, b2 = (p.data for p in params)
     maps = (feat_src.data, feat_tgt.data)
     shapes = f"got maps {maps[0].shape} and {maps[1].shape}"
     if any(f.ndim != 4 for f in maps):
-        raise ShapeError(f"rep_loss expects (N, C, H, W) feature maps, {shapes}")
-    if any(len(f) == 0 for f in maps):
+        raise ShapeError(f"rep_loss expects (C, N, H, W) feature maps, {shapes}")
+    if any(f.shape[1] == 0 for f in maps):
         raise ValueError("rep_loss: empty domain batch")
     if grl_lambda < 0:
         raise ValueError(f"grl_lambda must be >= 0, got {grl_lambda}")
-    if any(f.shape[1] != len(w1) for f in maps):
-        raise ShapeError(f"rep_loss: the classifier takes {len(w1)} channels, {shapes}")
+    if any(len(f) != len(w1) for f in maps):
+        raise ShapeError(f"rep_loss: the classifier takes C = {len(w1)} channels of "
+                         f"(C, N, H, W) maps, {shapes}")
 
     sides, bce = [], []  # per domain: map, pooled, pre-activation, hidden, logits, targets
     for f, fill in zip(maps, (np.ones, np.zeros)):
-        h = f.mean(axis=(2, 3))
+        h = np.ascontiguousarray(f.mean(axis=(2, 3)).T)  # (N, C): BLAS may round a transposed operand differently
         pre = h @ w1 + b1[None, :]
         a = np.maximum(pre, 0.0)
         z = a @ w2 + b2[None, :]
@@ -156,7 +158,7 @@ def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
         for f, h, pre, a, z, t in sides:
             dz = (_sigmoid(z) - t) / z.size * g
             dpre = (dz @ w2.T) * (pre > 0)
-            dh = (-grl_lambda * (dpre @ w1.T))[:, :, None, None] / (f.shape[2] * f.shape[3])
+            dh = (-grl_lambda * (dpre @ w1.T)).T[:, :, None, None] / (f.shape[2] * f.shape[3])
             feat_grads.append(np.broadcast_to(dh, f.shape).astype(f.dtype, copy=False))
             param_grads.append((h.T @ dpre, dpre.sum(axis=0), a.T @ dz, dz.sum(axis=0)))
         # the target's term, then + the source's: the order a sweep of the pool/MLP/BCE ops adds them
@@ -179,7 +181,8 @@ def _check_labeled(batch, model):
 
 
 def _stack_images(batch) -> Tensor:
-    return Tensor(np.stack([np.asarray(s.image, dtype=default_dtype()) for s in batch]))
+    """The batch's (C, H, W) images as one channel-major (C, N, H, W) tensor."""
+    return Tensor(np.stack([np.asarray(s.image, dtype=default_dtype()) for s in batch], axis=1))
 
 
 def _matches(batch, model):
@@ -227,12 +230,13 @@ def _objective(batch_src, batch_tgt, model, classifier, cfg: LirrConfig):
     _check_labeled([s for batch in batches for s in batch], model)
 
     feats = [model.features(_stack_images(batch)) for batch in batches]
+    cols = [model.invariant_head.columns(fs) for fs in feats]  # every head set reads them
     matches = [_matches(batch, model) for batch in batches]
     n = sum(len(batch) for batch in batches)
 
     def mean_risk(heads, feat_list):  # the Tensor sum starts at sums[0]: no 0 + Tensor op
-        sums, cls, loc = zip(*[_risk_sum(*model.predict(f, head), m)
-                               for head, f, m in zip(heads, feat_list, matches)])
+        sums, cls, loc = zip(*[_risk_sum(*model.predict(f, head, c), m)
+                               for head, f, c, m in zip(heads, feat_list, cols, matches)])
         return sum(sums[1:], sums[0]) * (1.0 / n), sum(cls) / n, sum(loc) / n
 
     l_i, i_cls, i_loc = mean_risk(["invariant"] * len(batches), feats)

@@ -3,9 +3,11 @@ op per output kind.
 
 `transpose` and `concat` are the autodiff ops it was assembled from,
 `flatten_head` is the reshape, transpose, reshape chain that laid one
-level's conv output out in anchor order, and `head_set_call` is the old
-`HeadSet.__call__`: per level the class conv and the box conv, each
-flattened, then one `concat` per output kind.
+level's (N, per_cell*width, H, W) conv output out in anchor order, and
+`head_set_call` is the old `HeadSet.__call__`: per level the class conv
+and the box conv, each swapped from the channel-major layout the convs
+now return into (N, F, H, W) and flattened, then one `concat` per output
+kind.
 `lirrdet.detector.model.anchor_order` and `HeadSet.__call__` must match
 them bit for bit, sign bits and the layout of each level's gradient
 included.
@@ -14,6 +16,8 @@ included.
 import numpy as np
 
 from lirrdet.autodiff.tensor import ShapeError, Tensor, _op
+
+from _layout_ref import swap_nc
 
 
 def transpose(x: Tensor, *axes) -> Tensor:
@@ -46,12 +50,13 @@ def flatten_head(out: Tensor, per_cell: int, width: int) -> Tensor:
         .reshape(n, h * w * per_cell, width)
 
 
-def head_set_call(head_set, feats):
-    """The old `HeadSet.__call__`, for monkeypatching onto `HeadSet`."""
+def head_set_call(head_set, feats, cols=None):
+    """The old `HeadSet.__call__`, for monkeypatching onto `HeadSet`; each
+    conv unrolls its own input, so `cols` goes unread."""
     outs = []
     for head, f in zip(head_set.heads, feats):
         per_cell = head.loc.weight.data.shape[0] // 4
-        cls = flatten_head(head.cls(f), per_cell, head_set.num_logits)
-        loc = flatten_head(head.loc(f), per_cell, 4)
+        cls = flatten_head(swap_nc(head.cls(f)), per_cell, head_set.num_logits)
+        loc = flatten_head(swap_nc(head.loc(f)), per_cell, 4)
         outs.append((cls, loc))
     return concat([c for c, _ in outs], axis=1), concat([l for _, l in outs], axis=1)

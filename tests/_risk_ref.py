@@ -8,7 +8,9 @@ that gathered each sample's anchor rows out of one head's flattened
 outputs and added up `(cls + loc) * norm`; `sample_loss` is one pass of
 that loop. The numpy `lirrdet.detector.loss.detection_loss_terms` and the
 one-op `lirrdet.lirr._risk_sum` must match them bit for bit, sign bits
-included.
+included. `full_sort_loss_terms` is the numpy loss as it mined hard
+negatives before the partition: one full stable argsort of every
+negative's score, NaN last. The partition miner must match it bit for bit.
 """
 
 import numpy as np
@@ -120,3 +122,35 @@ def risk_sum(cls: Tensor, loc: Tensor, matches):
         loc_val += float(lt.data) * norm
         total = sample if total is None else total + sample
     return total, cls_val, loc_val
+
+
+def full_sort_loss_terms(logits: np.ndarray, offsets: np.ndarray, match):
+    """`lirrdet.detector.loss.detection_loss_terms` with the full-sort miner:
+    (value, classification float, localization float, add_grad)."""
+    pos_idx = np.flatnonzero(match.gt_index >= 0)
+    neg_idx = np.flatnonzero(match.gt_index == NEGATIVE)
+    npos = len(pos_idx)
+    norm = 1.0 / max(npos, 1)
+
+    take = min(len(neg_idx), NEG_RATIO * max(npos, 1))
+    scores = _background_ce(logits[neg_idx])
+    sampled = np.concatenate([pos_idx, neg_idx[np.argsort(-scores, kind="stable")[:take]]])
+    rows = np.arange(len(sampled))
+    labels = np.concatenate([match.class_targets[pos_idx], np.zeros(take, dtype=np.int64)])
+
+    picked = logits[sampled]
+    z = picked - picked.max(axis=1, keepdims=True)
+    ct = np.asarray((np.log(np.exp(z).sum(axis=1)) - z[rows, labels]).sum(), dtype=logits.dtype)
+    e = offsets[pos_idx] - np.asarray(match.box_targets[pos_idx], dtype=offsets.dtype)
+    ae = np.abs(e)
+    lt = np.asarray(np.where(ae < 1.0, 0.5 * e * e, ae - 0.5).sum(), dtype=offsets.dtype)
+
+    def add_grad(g, dlogits, dloc):
+        g = g * norm
+        soft = np.exp(z)
+        soft /= soft.sum(axis=1, keepdims=True)
+        soft[rows, labels] -= 1.0
+        dlogits[sampled] += soft * g
+        dloc[pos_idx] += np.clip(e, -1.0, 1.0) * g
+
+    return (ct + lt) * norm, float(ct) * norm, float(lt) * norm, add_grad

@@ -34,6 +34,7 @@ from lirrdet.synthgen import (BenchmarkConfig, SceneSpec, make_benchmark,
                               SOURCE_DOMAIN, TARGET_DOMAIN)
 
 from _box_ref import iou
+from _layout_ref import swap_nc
 from _rep_ref import Linear, binary_cross_entropy_logit, global_avg_pool, matmul
 from _risk_ref import gather_rows, smooth_l1, softmax_cross_entropy
 from test_boxes import nms_dets
@@ -122,10 +123,10 @@ def op_cases(rng):
                                                  _signed(rng, (len(pos), 4), 1.3, 2.0))
         classes = np.where(gt >= 0, rng.integers(1, 3, size=8), np.where(gt == NEGATIVE, 0, -1))
         dl_matches.append(MatchResult(gt, classes, targets, len(pos)))
-    # two levels of head outputs (N, per_cell * 3, H, W): 2 anchors per cell on a
-    # 2x3 grid, 1 anchor per cell on a 1x2 grid
-    head0 = rng.normal(size=(2, 6, 2, 3))
-    head1 = rng.normal(size=(2, 3, 1, 2))
+    # two levels of channel-major head outputs (per_cell * 3, N, H, W): 2 anchors
+    # per cell on a 2x3 grid, 1 anchor per cell on a 1x2 grid
+    head0 = rng.normal(size=(6, 2, 2, 3))
+    head1 = rng.normal(size=(3, 2, 1, 2))
 
     cases = [
         ("add", x34, lambda x: dot(x + Tensor(c34))),
@@ -161,7 +162,7 @@ def op_cases(rng):
     # and spatial sizes, one case per input; a map under test passes
     # grad_reverse(., 1.0), which cancels the op's own reversal
     clf = DomainClassifier(3, rng=rng)
-    inputs = [rng.normal(size=(2, 3, 2, 3)), rng.normal(size=(3, 3, 1, 2))] \
+    inputs = [rng.normal(size=(3, 2, 2, 3)), rng.normal(size=(3, 3, 1, 2))] \
         + [p.data.copy() for p in (clf.fc1.weight, clf.fc1.bias, clf.fc2.weight, clf.fc2.bias)]
 
     def rep_loss_of(i):
@@ -192,7 +193,7 @@ class ComposedModel:
     def loss(self, x, labels):
         h = self.conv1(x).relu()
         h = self.conv2(h).relu()
-        return softmax_cross_entropy(self.fc(global_avg_pool(h)), labels)
+        return softmax_cross_entropy(self.fc(global_avg_pool(swap_nc(h))), labels)
 
 
 def test_criterion_1_finite_difference_gradients():
@@ -209,7 +210,7 @@ def test_criterion_1_finite_difference_gradients():
             rng = np.random.default_rng(2000 + seed)
             model = ComposedModel(rng)
             labels = rng.integers(0, 3, size=2)
-            x0 = rng.normal(size=(2, 1, 8, 8))
+            x0 = rng.normal(size=(1, 2, 8, 8))
 
             x = Tensor(x0.copy(), requires_grad=True)
             model.loss(x, labels).backward()
@@ -362,7 +363,7 @@ def test_criterion_3_breakdown_identities_and_reduced_objective():
             batch_sums = []
             for batch in batches:
                 x = Tensor(np.stack([np.asarray(s.image, dtype=np.float64)
-                                     for s in batch]))
+                                     for s in batch], axis=1))
                 feats = model.features(x)
                 cls, loc = model.predict(feats, "invariant")
                 b, a, k = cls.data.shape

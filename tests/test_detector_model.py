@@ -20,6 +20,7 @@ from lirrdet.detector import (
     match_anchors,
     save_detections,
 )
+from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.detector.model import anchor_order
 from lirrdet.lirr import _risk_sum
 from lirrdet.detector.boxes import Detection, decode_boxes
@@ -27,6 +28,7 @@ from lirrdet.detector.inference import MAX_DETS, NMS_THR
 
 from _box_ref import iou, positive_mask
 from _head_ref import concat, flatten_head
+from _risk_ref import full_sort_loss_terms
 from test_boxes import brute_nms
 
 
@@ -51,7 +53,7 @@ def detection_loss(cls_logits, box_offsets, match):
 class TestModelWiring:
     def test_head_rows_equal_anchor_count(self):
         m = small_model()
-        x = Tensor(np.zeros((2, 1, 32, 32), dtype=np.float32))
+        x = Tensor(np.zeros((1, 2, 32, 32), dtype=np.float32))
         cls, loc = m.predict(m.features(x), "invariant")
         assert cls.data.shape == (2, len(m.anchors), 2)
         assert loc.data.shape == (2, len(m.anchors), 4)
@@ -75,7 +77,7 @@ class TestModelWiring:
         # column, then anchor within the cell
         n, width = 2, 5
         levels = [(3, 2, 4), (2, 3, 1)]  # (per_cell, H, W)
-        xs = [np.arange(n * a * width * h * w, dtype=np.float64).reshape(n, a * width, h, w) + 1000 * lv
+        xs = [np.arange(n * a * width * h * w, dtype=np.float64).reshape(a * width, n, h, w) + 1000 * lv
               for lv, (a, h, w) in enumerate(levels)]
         out = anchor_order([Tensor(x) for x in xs], width).data
         assert out.shape == (n, sum(a * h * w for a, h, w in levels), width)
@@ -87,7 +89,7 @@ class TestModelWiring:
                         for ai in range(a):
                             for k in range(width):
                                 row = start + (i * w + j) * a + ai
-                                assert out[ni, row, k] == x[ni, ai * width + k, i, j]
+                                assert out[ni, row, k] == x[ai * width + k, ni, i, j]
             start += a * h * w
 
     def test_head_channel_maps_to_anchor_index(self):
@@ -148,20 +150,74 @@ class TestAnchorOrderMatchesReference:
         def reference(ts):
             return concat([flatten_head(t, t.data.shape[1] // width, width) for t in ts], axis=1)
 
+        def swap(a):  # anchor_order reads (F, N, H, W) outputs, the chain (N, F, H, W) ones
+            return a.transpose(1, 0, 2, 3)
+
         with precision(dtype):
             g = g0.astype(dtype)
             got = []
-            for layout in (lambda ts: anchor_order(ts, width), reference):
-                leaves = [Tensor(x, requires_grad=True) for x in xs0]
+            for layout, edge in ((lambda ts: anchor_order(ts, width), swap), (reference, lambda a: a)):
+                leaves = [Tensor(np.ascontiguousarray(edge(x)), requires_grad=True) for x in xs0]
                 seen = []  # the gradient each level's producer receives, layout included
                 spied = [_op(t.data, (t,), lambda gi: (seen.append(gi) or gi,)) for t in leaves]
                 out = layout(spied)
                 backward(_op(np.zeros((), dtype), (out,), lambda _: (g,)))
-                got.append((out.data, seen[::-1], [t.grad for t in leaves]))
+                got.append((out.data, [edge(a) for a in seen[::-1]], [t.grad for t in leaves]))
         (out_a, seen_a, grads_a), (out_b, seen_b, grads_b) = got
         assert same_bits(out_a, out_b)
-        for a, b in zip(seen_a + grads_a, seen_b + grads_b):
-            assert same_bits(a, b) and a.strides == b.strides
+        for a, b in zip(seen_a, seen_b):  # one memory layout: the strides of every axis longer than 1
+            assert same_bits(a, b) and [s for s, d in zip(a.strides, a.shape) if d > 1] \
+                == [s for s, d in zip(b.strides, b.shape) if d > 1]
+        for a, b in zip(grads_a, grads_b):
+            assert same_bits(swap(a), b) and a.flags.c_contiguous and b.flags.c_contiguous
+
+
+@st.composite
+def miner_cases(draw):
+    """One sample's (A, K) logits, (A, 4) offsets and match. Logits rounded
+    to at most 2 decimals make tied scores common; a positive count up to
+    half the anchors puts `take` at or above the negative count, and 0 has
+    no positive. Some logits are -inf in the background column (a +inf
+    score) or elsewhere, NaN, or every background logit is NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, k = draw(st.integers(1, 60)), draw(st.integers(2, 4))
+    scale = draw(st.sampled_from([0.5, 2.0, 50.0]))
+    logits = np.round(rng.normal(size=(a, k)) * scale, draw(st.integers(0, 2)))
+    npos = draw(st.integers(0, a // 2))
+    gt = rng.permutation(np.concatenate([np.zeros(npos, dtype=np.int64),
+                                         rng.choice([NEGATIVE, IGNORE], size=a - npos)]))
+    kind = draw(st.sampled_from(["finite", "inf", "some_nan", "all_nan"]))
+    if kind == "inf":
+        logits[rng.random(a) < 0.2, 0] = -np.inf
+        logits[rng.random(a) < 0.1, k - 1] = -np.inf
+    elif kind == "some_nan":
+        logits[rng.random(a) < 0.2, rng.integers(k)] = np.nan
+    elif kind == "all_nan":
+        logits[:, 0] = np.nan
+    pos = gt >= 0
+    classes = np.where(pos, rng.integers(1, k, size=a), np.where(gt == NEGATIVE, 0, -1))
+    targets = np.where(pos[:, None], rng.normal(scale=1.5, size=(a, 4)), 0.0)
+    return logits, rng.normal(scale=1.5, size=(a, 4)), MatchResult(gt, classes, targets, npos)
+
+
+class TestPartitionMinerMatchesFullSort:
+    """The partition miner against one full stable argsort of the negatives."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=miner_cases(), dtype=st.sampled_from(["float32", "float64"]))
+    def test_value_parts_and_gradients_bits(self, case, dtype):
+        logits, offsets, match = case
+        logits, offsets = logits.astype(dtype), offsets.astype(dtype)
+        got = []
+        with np.errstate(all="ignore"):
+            for terms in (detection_loss_terms, full_sort_loss_terms):
+                value, c, l, add_grad = terms(logits, offsets, match)
+                dlogits, dloc = np.zeros_like(logits), np.zeros_like(offsets)
+                add_grad(np.ones_like(value), dlogits, dloc)
+                got.append((value, np.float64(c), np.float64(l), dlogits, dloc))
+        for x, y in zip(*got):
+            assert same_bits(x, y)
+
 
 FINE, COARSE = SMALL_SPEC.levels
 

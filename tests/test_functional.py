@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _conv_ref
+import _layout_ref
 from lirrdet.autodiff import (
     ShapeError,
     Tensor,
@@ -15,6 +16,9 @@ from lirrdet.autodiff import (
     grad_reverse,
     precision,
 )
+from lirrdet.autodiff.functional import im2col
+from lirrdet.autodiff.tensor import _op
+from lirrdet.detector.model import anchor_order
 
 from _gradcheck import dot, finite_diff_grads, max_rel_err
 from _rep_ref import binary_cross_entropy_logit, global_avg_pool, matmul
@@ -55,6 +59,11 @@ def direct_conv2d_dx(g, weight, h, w, stride, padding):
     return dxpad[:, :, padding:padding + h, padding:padding + w]
 
 
+def nchw_conv2d(x, weight, bias, stride=1, padding=0):
+    """conv2d on (N, C, H, W) tensors: the channel-major conv between two swap_nc ops."""
+    return _layout_ref.swap_nc(conv2d(_layout_ref.swap_nc(x), weight, bias, stride=stride, padding=padding))
+
+
 def _conv_grads(conv, x0, k0, b0, g0, stride, padding, track_x=True):
     """Output, dx, dW and db of `conv` for the upstream gradient g0."""
     tx = Tensor(x0, requires_grad=track_x)
@@ -92,7 +101,7 @@ def test_conv2d_matches_batch_major_reference(case):
     exact = n == 1 or ho * wo > 1
     rtol = 1e-5 if dtype == "float32" else 1e-12
     with precision(dtype):
-        got = _conv_grads(conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)), stride, padding)
+        got = _conv_grads(nchw_conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)), stride, padding)
         want = _conv_grads(_conv_ref.conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)),
                            stride, padding)
     for i, (a, b) in enumerate(zip(got, want)):
@@ -102,24 +111,75 @@ def test_conv2d_matches_batch_major_reference(case):
         np.testing.assert_allclose(a, b, rtol=rtol, atol=rtol * max(np.abs(b).max(), 1.0))
     if stride == 1:
         with precision("float64"):
-            dx = _conv_grads(conv2d, x0, k0, b0, g0, 1, padding)[1]
+            dx = _conv_grads(nchw_conv2d, x0, k0, b0, g0, 1, padding)[1]
             ref = _conv_grads(_conv_ref.conv2d, x0, k0, b0, g0, 1, padding)[1]
         direct = direct_conv2d_dx(g0, k0, h, w, 1, padding)
         for other in (ref, direct):
             np.testing.assert_allclose(dx, other, rtol=1e-12, atol=1e-12 * np.abs(other).max())
         np.testing.assert_allclose(got[1], direct, rtol=rtol, atol=rtol * np.abs(direct).max())
     with precision(dtype):
-        untracked = _conv_grads(conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)),
+        untracked = _conv_grads(nchw_conv2d, *(a.astype(dtype) for a in (x0, k0, b0, g0)),
                                 stride, padding, track_x=False)
     assert untracked[1] is None
     assert untracked[2].tobytes() == got[2].tobytes() and untracked[3].tobytes() == got[3].tobytes()
+
+
+def _signed_zeros(rng, a):
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    return a
+
+
+@FUZZ
+@given(conv_cases(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_conv2d_keeps_the_batch_major_layouts_bits(case, sample_major, handed_in, seed):
+    """The channel-major conv2d against the batch-major one it replaced, on
+    the same input and upstream gradient: value, dx, dW and db byte for
+    byte, sign bits included, with or without handed-in columns. The
+    gradient is laid out as a backbone conv gets it (C-contiguous, filter
+    major here and sample major there) or as a head conv gets it from
+    anchor_order (one (sample, row, column) row of filters after another)."""
+    (x0, k0, b0, g0), stride, padding, dtype = case
+    rng = np.random.default_rng(seed)
+    x0, g0 = _signed_zeros(rng, x0), _signed_zeros(rng, g0)
+    if sample_major:  # the same memory under both: (N, H', W', F)
+        rows = np.ascontiguousarray(g0.transpose(0, 2, 3, 1).astype(dtype))
+        g_new, g_old = rows.transpose(3, 0, 1, 2), rows.transpose(0, 3, 1, 2)
+    else:
+        g_old = g0.astype(dtype)
+        g_new = np.ascontiguousarray(g_old.transpose(1, 0, 2, 3))
+    got, want = [], []
+    with precision(dtype):
+        for conv, x, g, out_grads in ((conv2d, x0.transpose(1, 0, 2, 3), g_new, got),
+                                      (_layout_ref.conv2d, x0, g_old, want)):
+            tx = Tensor(np.ascontiguousarray(x), requires_grad=True)
+            tk, tb = Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True)
+            cols = im2col(tx.data, *k0.shape[2:], stride, padding) if handed_in and conv is conv2d else None
+            out = conv(tx, tk, tb, stride=stride, padding=padding, cols=cols)
+            backward(_op(np.zeros((), dtype), (out,), lambda _: (g,)))
+            out_grads += [out.data, tx.grad, tk.grad, tb.grad]
+    for i in (0, 1):  # out and dx: swap (C, N) back to (N, C)
+        got[i] = got[i].transpose(1, 0, 2, 3)
+    for name, a, b in zip(("out", "dx", "dW", "db"), got, want):
+        assert a.dtype == b.dtype == np.dtype(dtype) and a.shape == b.shape, name
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def test_conv2d_rejects_columns_that_do_not_fit():
+    x = Tensor(np.zeros((2, 3, 6, 6)))
+    k, b = Tensor(np.zeros((4, 2, 3, 3))), Tensor(np.zeros(4))
+    fits = im2col(x.data, 3, 3, 1, 1)
+    assert conv2d(x, k, b, padding=1, cols=fits).data.shape == (4, 3, 6, 6)
+    for cols in (fits[:-1], im2col(x.data, 3, 3, 2, 1), fits.reshape(2, 9, -1)):
+        with pytest.raises(ShapeError, match=r"\(C, N, H, W\)"):
+            conv2d(x, k, b, padding=1, cols=cols)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_rule_returns_no_dx_for_untracked_input(stride):
     # conv1 reads the image, whose gradient nobody reads: no dx is computed
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+    x = Tensor(rng.normal(size=(3, 2, 6, 5)))
     k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
     out = conv2d(x, k, Tensor(np.zeros(4)), stride=stride, padding=1)
     dx, dk, _ = out._entry.backward(np.ones_like(out.data))
@@ -133,7 +193,7 @@ def test_conv2d_tape_keeps_no_padded_input(stride, padding):
     # after forward the tape holds the output and the im2col columns; the
     # zero-padded copy of the input is freed when conv2d returns
     rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(4, 8, 16, 16)), requires_grad=True)
+    x = Tensor(rng.normal(size=(8, 4, 16, 16)), requires_grad=True)
     k = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
     b = Tensor(np.zeros(8))
     tracemalloc.start()
@@ -142,7 +202,7 @@ def test_conv2d_tape_keeps_no_padded_input(stride, padding):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    columns = k.data[0].size * out.data[:, 0].size * out.data.itemsize
+    columns = k.data[0].size * out.data[0].size * out.data.itemsize
     padded = x.data[:, :, 0, 0].size * (16 + 2 * padding) ** 2 * x.data.itemsize
     overhead = kept - out.data.nbytes - columns
     assert 0 <= overhead < 8192 < padded, (overhead, padded)
@@ -158,7 +218,7 @@ class TestConv2d:
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+        x = rng.normal(size=(3, 2, 5, 5)).astype(np.float32)
         k = np.zeros((3, 3, 1, 1), dtype=np.float32)
         for c in range(3):
             k[c, c, 0, 0] = 1.0
@@ -168,7 +228,7 @@ class TestConv2d:
     def test_output_geometry(self):
         x = Tensor(np.zeros((1, 1, 7, 9)))
         k = Tensor(np.zeros((2, 1, 3, 3)))
-        assert conv2d(x, k, Tensor(np.zeros(2)), stride=2, padding=1).data.shape == (1, 2, 4, 5)
+        assert conv2d(x, k, Tensor(np.zeros(2)), stride=2, padding=1).data.shape == (2, 1, 4, 5)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
@@ -180,7 +240,7 @@ class TestConv2d:
             x = Tensor(rng.normal(size=(2, 3, 6, 7)))
             k = Tensor(rng.normal(size=(4, 3, 3, 3)))
             b = Tensor(rng.normal(size=4))
-            fast = conv2d(x, k, b, stride=2, padding=1)
+            fast = nchw_conv2d(x, k, b, stride=2, padding=1)
             slow = direct_conv2d(x.data, k.data, b.data, stride=2, padding=1)
             assert np.max(np.abs(fast.data - slow)) < 1e-12
 
@@ -188,10 +248,10 @@ class TestConv2d:
     def test_gradcheck_input_kernel_bias(self, seed):
         rng = np.random.default_rng(300 + seed)
         with precision("float64"):
-            x0 = rng.uniform(-2, 2, size=(1, 2, 5, 5))
+            x0 = rng.uniform(-2, 2, size=(1, 2, 5, 5)).transpose(1, 0, 2, 3).copy()
             k0 = rng.uniform(-2, 2, size=(3, 2, 3, 3))
             b0 = rng.uniform(-2, 2, size=3)
-            p = rng.uniform(-1, 1, size=(1, 3, 3, 3))
+            p = rng.uniform(-1, 1, size=(1, 3, 3, 3)).transpose(1, 0, 2, 3).copy()
 
             def f(x, k, b):
                 out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2, padding=1)
@@ -416,12 +476,12 @@ class TestCompositeModelGradient:
 
             def f(x, k, w):
                 h = conv2d(Tensor(x), Tensor(k), Tensor(np.zeros(2)), stride=1, padding=1).relu()
-                pooled = global_avg_pool(h)
+                pooled = global_avg_pool(_layout_ref.swap_nc(h))
                 return float(softmax_cross_entropy(matmul(pooled, Tensor(w)), [1]).data)
 
             tx, tk, tw = (Tensor(a, requires_grad=True) for a in (x0, k0, w0))
             h = conv2d(tx, tk, Tensor(np.zeros(2)), stride=1, padding=1).relu()
-            loss = softmax_cross_entropy(matmul(global_avg_pool(h), tw), [1])
+            loss = softmax_cross_entropy(matmul(global_avg_pool(_layout_ref.swap_nc(h)), tw), [1])
             backward(loss)
             nx, nk, nw = finite_diff_grads(f, [x0, k0, w0])
             assert max_rel_err(tx.grad, nx) < 1e-6

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lirrdet.autodiff import (
 )
 from lirrdet.detector import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.loss import detection_loss_terms
-from lirrdet.detector.model import Detector, HeadSet, ModelSpec
+from lirrdet.detector.model import HEAD_STRIDES, Detector, HeadSet, ModelSpec
 from lirrdet.lirr import (
     _matches,
     _objective,
@@ -32,7 +33,9 @@ from lirrdet.lirr import (
     train_step,
 )
 
+import _layout_ref
 from _head_ref import head_set_call
+from _layout_ref import swap_nc
 from _rep_ref import binary_cross_entropy_logit, classify, global_avg_pool, matmul
 from _rep_ref import rep_loss as ref_rep_loss
 from _risk_ref import detection_loss_terms as ref_loss_terms, gather_rows, risk_sum as ref_risk_sum, sample_loss
@@ -48,9 +51,9 @@ def domain_risk(batch, model, domain):
 
 
 def maps(features):
-    """(N, C) features as the (N, C, 1, 1) maps rep_loss pools, exactly."""
+    """(N, C) features as the channel-major (C, N, 1, 1) maps rep_loss pools, exactly."""
     t = features if isinstance(features, Tensor) else Tensor(features)
-    return t.reshape(*t.data.shape, 1, 1)
+    return swap_nc(t.reshape(*t.data.shape, 1, 1))
 
 
 def lirr_loss(batch_src, batch_tgt, model, classifier, cfg):
@@ -147,12 +150,22 @@ class TestRepLoss:
 
     def test_maps_that_are_not_4d_or_miss_the_classifier_width_rejected(self):
         c = zeroed_classifier(3)
-        for fs, ft in ((np.zeros((2, 3, 4)), np.zeros((2, 3, 1, 1))),
-                       (np.zeros((2, 3, 1, 1)), np.zeros((2, 3))),
-                       (np.zeros((2, 4, 1, 1)), np.zeros((2, 3, 1, 1))),
-                       (np.zeros((2, 3, 2, 2)), np.zeros((1, 2, 2, 2)))):
+        for fs, ft in ((np.zeros((3, 2, 4)), np.zeros((3, 2, 1, 1))),
+                       (np.zeros((3, 2, 1, 1)), np.zeros((3, 2))),
+                       (np.zeros((4, 2, 1, 1)), np.zeros((3, 2, 1, 1))),
+                       (np.zeros((3, 2, 2, 2)), np.zeros((2, 1, 2, 2)))):
             with pytest.raises(ShapeError, match=re.escape(str(fs.shape)) + ".*" + re.escape(str(ft.shape))):
                 rep_loss(Tensor(fs), Tensor(ft), c)
+
+    def test_map_whose_channel_axis_misses_the_classifier_names_the_layout(self):
+        # a batch-major (N, C, H, W) map of the classifier's width reads as C = N
+        c = zeroed_classifier(3)
+        fits = np.zeros((3, 2, 2, 2))
+        for fs, ft in ((np.zeros((2, 3, 2, 2)), fits), (fits, np.zeros((4, 2, 2, 2)))):
+            with pytest.raises(ShapeError, match=re.escape("C = 3 channels of (C, N, H, W) maps")):
+                rep_loss(Tensor(fs), Tensor(ft), c)
+        with pytest.raises(ShapeError, match=re.escape("expects (C, N, H, W) feature maps")):
+            rep_loss(Tensor(np.zeros((3, 2, 4))), Tensor(fits), c)
 
     def test_4d_input_is_pooled(self):
         with precision("float64"):
@@ -160,7 +173,7 @@ class TestRepLoss:
             c = DomainClassifier(5, rng=rng)
             fs = rng.normal(size=(2, 5, 4, 4))
             ft = rng.normal(size=(2, 5, 4, 4))
-            a = float(rep_loss(Tensor(fs), Tensor(ft), c).data)
+            a = float(rep_loss(swap_nc(Tensor(fs)), swap_nc(Tensor(ft)), c).data)
             b = float(rep_loss(maps(global_avg_pool(Tensor(fs))),
                                maps(global_avg_pool(Tensor(ft))), c).data)
         assert a == b
@@ -451,7 +464,7 @@ class TestReducedObjectiveIdentity:
                 model.zero_grad()
                 sums = []
                 for batch in (src, tgt):
-                    imgs = np.stack([s.image for s in batch]).astype(np.float64)
+                    imgs = np.stack([s.image for s in batch], axis=1).astype(np.float64)
                     feats = model.features(Tensor(imgs))
                     cls, loc = model.predict(feats, "invariant")
                     n_anchors = cls.data.shape[1]
@@ -665,6 +678,71 @@ class TestHeadLayoutMatchesReferenceInTraining:
         assert params == ref_params
 
 
+class TestChannelMajorMatchesBatchMajorInTraining:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sda_and_supervised_steps_keep_every_loss_and_parameter_bit(self, monkeypatch, dtype):
+        # 5 SDA and then 5 supervised steps channel-major, each head input
+        # unrolled once, and again batch-major, each conv unrolling its own input
+        def run():
+            with precision(dtype):
+                model = small_model(100)
+                c = DomainClassifier(SMALL_SPEC.widths[-1], rng=np.random.default_rng(101))
+                opt = SGD(model.parameters() + c.parameters(), lr=0.05, momentum=0.5)
+                losses = []
+                for step in range(10):
+                    src, tgt = make_batches(110 + step, n_src=3, n_tgt=2)
+                    sda = step < 5
+                    losses.append(train_step(src if sda else None, tgt, model, c if sda else None, opt,
+                                             LirrConfig()))
+                return losses, [p.data.tobytes() for p in model.parameters() + c.parameters()]
+
+        losses, params = run()
+        _layout_ref.install(monkeypatch)
+        ref_losses, ref_params = run()
+        assert losses == ref_losses
+        assert params == ref_params
+
+
+class TestSharedHeadColumns:
+    """Bytes held after the forward of one default-model step (8 + 8
+    images), against the batch-major path where every head conv unrolls
+    its own input."""
+
+    @pytest.mark.parametrize("sda", [True, False])
+    def test_one_column_array_per_head_input(self, monkeypatch, sda):
+        spec = ModelSpec()
+        rng = np.random.default_rng(0)
+        src = [make_sample(rng, DomainLabel.SOURCE, -0.4, spec.image_size) for _ in range(8)]
+        tgt = [make_sample(rng, DomainLabel.TARGET, 0.2, spec.image_size) for _ in range(8)]
+        model = Detector(spec, rng=rng)
+        args = (src, tgt, model, DomainClassifier(spec.widths[-1], rng=rng), LirrConfig()) if sda \
+            else (None, tgt, model, None, None)
+
+        def held():
+            backward(_objective(*args)[0])  # first-call allocations happen here
+            tracemalloc.start()
+            try:
+                total = _objective(*args)[0]
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            backward(total)
+            return kept
+
+        kept = held()
+        _layout_ref.install(monkeypatch)
+        ref = held()
+        # a batch's head inputs, one per level: C*3*3 rows by N*H*W columns each
+        itemsize = np.dtype(np.float32).itemsize
+        columns = sum(ch * 9 * len(tgt) * (spec.image_size // stride) ** 2 * itemsize
+                      for ch, stride in zip(spec.widths[2:], HEAD_STRIDES))
+        assert columns == 1_179_648
+        # SDA: 4 head convs read each of 2 batches' inputs; supervised: cls and loc read 1
+        saved = columns * (2 * 3 if sda else 1)
+        overhead = ref - kept - saved
+        assert 0 <= overhead < 8192, (ref, kept, saved)
+
+
 @st.composite
 def rep_cases(draw):
     """Feature maps of two domains with their own batch and spatial sizes, a
@@ -689,12 +767,13 @@ class TestRepLossMatchesReference:
         maps, channels, clf_seed, lam, weight = case
         with precision(dtype):
             got = []
-            for loss_fn in (rep_loss, ref_rep_loss):
+            # rep_loss reads (C, N, H, W) maps, the reference (N, C, H, W) ones
+            for loss_fn, layout in ((rep_loss, lambda a: a.transpose(1, 0, 2, 3)), (ref_rep_loss, lambda a: a)):
                 c = DomainClassifier(channels, rng=np.random.default_rng(clf_seed))
-                fs, ft = (Tensor(m, requires_grad=True) for m in maps)
+                fs, ft = (Tensor(np.ascontiguousarray(layout(m)), requires_grad=True) for m in maps)
                 loss = loss_fn(fs, ft, c, lam)
                 backward(loss * weight)
-                got.append([loss.data, fs.grad, ft.grad] + [p.grad for p in c.parameters()])
+                got.append([loss.data, layout(fs.grad), layout(ft.grad)] + [p.grad for p in c.parameters()])
             for x, y in zip(*got):
                 assert same_bits(x, y)
 
@@ -710,7 +789,7 @@ class TestRepLossMatchesReference:
                 return losses, [p.data.tobytes() for p in model.parameters() + c.parameters()]
 
         losses, params = run()
-        monkeypatch.setattr(lirr, "rep_loss", ref_rep_loss)
+        monkeypatch.setattr(lirr, "rep_loss", lambda fs, ft, c, lam: ref_rep_loss(swap_nc(fs), swap_nc(ft), c, lam))
         ref_losses, ref_params = run()
         assert losses == ref_losses
         assert params == ref_params
@@ -754,8 +833,8 @@ class TestAdversarialDynamics:
 
         def pooled_features(samples):
             with no_grad():
-                imgs = Tensor(np.stack([s.image for s in samples]))
-                return global_avg_pool(model.features(imgs)[-1]).data
+                imgs = Tensor(np.stack([s.image for s in samples], axis=1))
+                return global_avg_pool(swap_nc(model.features(imgs)[-1])).data
 
         def accuracy():
             with no_grad():

@@ -113,7 +113,7 @@ class TestTapeSemantics:
     def test_swept_graph_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
-            x = Tensor(np.ones((1, 2, 5, 5)))
+            x = Tensor(np.ones((2, 1, 5, 5)))
             w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
             hidden = conv2d(x, w, Tensor(np.zeros(3)), padding=1)
             alive = weakref.ref(hidden.data)
