@@ -13,14 +13,14 @@ nothing else holds them, even when a backward rule raises. Tensors of a
 swept graph are no longer tracked, so a second ``backward`` from the same
 loss raises ``TapeError``.
 
-The ops are the ones the detector runs: ``+``, ``-`` and ``*`` (two
-tensors of the same shape, or a tensor on the left and a Python scalar on
-the right; a scalar on the left is a ``TypeError``, anything else raises
-``ShapeError``), ``relu`` and ``reshape``. ``functional.py`` holds the
-convolution and gradient reversal; the head outputs' anchor-order layout
-is one op per output kind, in ``detector/model.py``, and each batch's
-detection risk under one head and the alignment term are one op each, in
-``lirr.py``.
+A training step records ``conv2d`` and ``grad_reverse`` (``functional.py``),
+``relu``, tensor ``+`` tensor, tensor ``*`` scalar, ``anchor_order``
+(``detector/model.py``), ``_risk_sum`` and ``rep_loss`` (``lirr.py``).
+``-``, tensor ``+`` scalar, tensor ``*`` tensor and ``reshape`` stay for
+the tests' references; acceptance criterion 1 checks each. ``+``, ``-``
+and ``*`` take two same-shape tensors, or a tensor and then a Python
+scalar; a scalar on the left is a ``TypeError``, anything else raises
+``ShapeError``.
 
 Precision is a per-thread mode (float32 by default, float64 for
 verification); see ``precision``. Grad mode and the tape are per thread as

@@ -14,39 +14,28 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .container import atomic_open
+from .jsonconfig import read_json
 from .pipeline import ExperimentConfig, Mode, RunReport, evaluate_checkpoint, run_experiment
-from .synthgen import (BenchmarkConfig, DatasetError, RenderError, benchmark_config_from_dict,
-                       make_benchmark, save_dataset)
-
-_SPLIT_FILES = ("source_train.bin", "target_train_small.bin",
-                "target_train_full.bin", "target_test.bin")
-
-
-def _read_config(path) -> object:
-    """A config file's JSON; a file that is not UTF-8 JSON raises ValueError naming it."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as e:  # JSON, UTF-8 and nesting errors
-        raise ValueError(f"{path}: config is not valid JSON: {e}") from e
+from .synthgen import BenchmarkConfig, DatasetError, RenderError, make_benchmark, save_dataset
 
 
 def _cmd_gen(args) -> int:
     cfg = BenchmarkConfig()
     if args.config:
-        cfg = benchmark_config_from_dict(_read_config(args.config))
+        cfg = BenchmarkConfig.from_dict(read_json(args.config, "config"))
     if args.seed is not None:
         cfg = replace(cfg, scene=replace(cfg.scene, seed=args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # fail on a bad --out before rendering
     splits = make_benchmark(cfg)
-    for name, samples in zip(_SPLIT_FILES, (splits.source_train, splits.target_train_small,
-                                            splits.target_train_full, splits.target_test)):
-        save_dataset(samples, out / name, config=cfg.to_dict())
-        print(f"wrote {out / name} ({len(samples)} images)")
+    for split in fields(splits):
+        path, samples = out / f"{split.name}.bin", getattr(splits, split.name)
+        save_dataset(samples, path, config=cfg.to_dict())
+        print(f"wrote {path} ({len(samples)} images)")
     with atomic_open(out / "benchmark_config.json") as f:
         f.write(json.dumps(cfg.to_dict(), indent=2) + "\n")
     return 0
@@ -56,7 +45,7 @@ def _load_experiment_config(path: str) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"config not found: {path}")
-    d = _read_config(p)
+    d = read_json(p, "config")
     if isinstance(d, dict) and "config" in d and "eval_series" in d:
         # a run report; use its embedded echo, minus the retired no-op
         # "deterministic" key that older reports carry

@@ -15,6 +15,7 @@ import numpy as np
 
 from .detector.boxes import iou_matrix
 from .detector.inference import MAX_DETS
+from .jsonconfig import to_json
 
 IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -39,14 +40,7 @@ class APReport:
     per_threshold: list
     thresholds: tuple = IOU_THRESHOLDS
 
-    def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "per_threshold": list(self.per_threshold),
-            "thresholds": list(self.thresholds),
-        }
+    to_dict = to_json
 
 
 def _check_thresholds(thresholds):

@@ -66,6 +66,7 @@ from .autodiff import (
 from .autodiff.tensor import _op
 from .detector.loss import detection_loss_terms
 from .detector.matching import match_anchors
+from .jsonconfig import to_json
 
 
 CLASSIFIER_HIDDEN = 32  # hidden units of the domain classifier
@@ -100,8 +101,7 @@ class LossBreakdown:  # a term the objective did not compute reads 0.0
     l_d_cls: float = 0.0
     l_d_loc: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in vars(self).items()}
+    to_dict = to_json
 
 
 class DomainClassifier(Module):

@@ -20,9 +20,8 @@ checkpoint plus the test split.
 from __future__ import annotations
 
 import json
-import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .coco_eval import EvalInput, evaluate
 from .container import atomic_open
 from .detector.inference import forward_detect, save_detections
 from .detector.model import Detector, ModelSpec
-from .jsonconfig import from_json_dict
+from .jsonconfig import from_json_dict, is_finite, read_json, to_json
 from .lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
 from .synthgen import load_dataset
 
@@ -128,16 +127,8 @@ class ExperimentConfig:
     def model_spec(self) -> ModelSpec:
         return ModelSpec(image_size=self.image_size, widths=self.widths)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Build from parsed JSON; unknown keys and wrong-typed values raise ValueError."""
-        return from_json_dict(cls, d)
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["mode"] = self.mode.value
-        d["widths"] = list(self.widths)
-        return d
+    from_dict = classmethod(from_json_dict)  # unknown keys and wrong-typed values raise ValueError
+    to_dict = to_json
 
 
 # what `lirrdet report` reads from a run report, and the JSON types it takes (numbers fit a float)
@@ -157,8 +148,7 @@ class RunReport:
     wall_clock_sec: float = 0.0
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = to_json
 
     def save(self, path) -> None:
         with atomic_open(path) as f:
@@ -168,10 +158,7 @@ class RunReport:
     @classmethod
     def load(cls, path) -> "RunReport":
         """Read a saved report; a file that is not one raises ValueError naming the key."""
-        try:
-            d = json.loads(Path(path).read_text())
-        except ValueError as e:  # JSON and UTF-8 decode errors
-            raise ValueError(f"{path}: run report is not valid JSON: {e}") from e
+        d = read_json(path, "run report")
         if not isinstance(d, dict):
             raise ValueError(f"{path}: run report is not a JSON object")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
@@ -181,7 +168,7 @@ class RunReport:
             part, field_name = key.split(".")
             value = d[part].get(field_name) if isinstance(d.get(part), dict) else None
             fits = isinstance(value, kind) and not isinstance(value, bool)
-            if not fits or (kind is not str and abs(value) > sys.float_info.max):
+            if not fits or (kind is not str and not is_finite(value)):
                 raise ValueError(f"{path}: run report key {key} is missing or invalid ({value!r})")
         return cls(**d)
 

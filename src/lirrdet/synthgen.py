@@ -39,14 +39,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .container import json_int, read, write
-from .jsonconfig import from_json_dict
+from .jsonconfig import from_json_dict, to_json
 from .lirr import DomainLabel
 
 # supersampling factor for silhouette coverage; 4x4 subsamples per pixel
@@ -412,19 +412,8 @@ class BenchmarkConfig:
             if b0 < a1:
                 raise ValueError(f"overlapping index ranges: [{a0},{a1}) and [{b0},{b1})")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("source", "target"):
-            d[key]["background"] = d[key]["background"].value
-            d[key]["target_texture"] = d[key]["target_texture"].value
-        # normalize tuples to lists so the echo survives a JSON round trip
-        return json.loads(json.dumps(d))
-
-
-def benchmark_config_from_dict(d: dict) -> BenchmarkConfig:
-    """Rebuild a BenchmarkConfig from its to_dict() echo (or any part of it);
-    unknown keys and wrong-typed values raise ValueError."""
-    return from_json_dict(BenchmarkConfig, d)
+    from_dict = classmethod(from_json_dict)  # unknown keys and wrong-typed values raise ValueError
+    to_dict = to_json
 
 
 @dataclass

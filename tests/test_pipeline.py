@@ -3,6 +3,7 @@ determinism, and the gen/train/eval/report flow on a miniature benchmark."""
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -517,10 +518,16 @@ class TestCli:
         ({"config": {"mode": "SDA", "label_budget": 5}, "final": []}, "final.ap"),
         ({"config": {"mode": "SDA", "label_budget": 5},
           "final": {"ap": -10**400, "ap50": 0.2, "ap75": 0.1}}, "final.ap"),
+        ({"config": {"mode": "SDA", "label_budget": 5},
+          "final": {"ap": math.nan, "ap50": 0.2, "ap75": 0.1}}, "final.ap"),
+        ({"config": {"mode": "SDA", "label_budget": 5},
+          "final": {"ap": math.inf, "ap50": 0.2, "ap75": 0.1}}, "final.ap"),
         (b"not json", "not valid JSON"),
         (b"\xff\xfe", "not valid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "run report is not valid JSON"),
     ], ids=["array", "unknown-key", "no-label_budget", "label_budget-str", "mode-list",
-            "no-ap75", "final-array", "ap-beyond-float", "not-json", "not-utf8"])
+            "no-ap75", "final-array", "ap-beyond-float", "ap-nan", "ap-infinity", "not-json",
+            "not-utf8", "too-deep"])
     def test_malformed_report_named(self, tmp_path, capsys, content, key):
         p = tmp_path / "run_report.json"
         p.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
