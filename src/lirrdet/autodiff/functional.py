@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _op
+from .tensor import ShapeError, Tensor, _op, _records
 
 __all__ = ["conv2d", "grad_reverse", "im2col"]
 
@@ -87,9 +87,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     elif cols.shape != (c * kh * kw, n * ho * wo):
         raise ShapeError(f"conv2d: handed-in columns have shape {cols.shape}, the (C, N, H, W) "
                          f"input {x.data.shape} unrolls to {(c * kh * kw, n * ho * wo)}")
-    w2 = weight.data.reshape(f, c * kh * kw)
+    k = weight.data
+    w2 = k.reshape(f, c * kh * kw)
     out_data = (w2 @ cols).reshape(f, n, ho, wo) + bias.data.reshape(f, 1, 1, 1)
-    x_tracked = x.requires_grad or x._entry is not None
+    x_tracked, x_dtype = _records((x,)), x.data.dtype  # the rule keeps these, not x
 
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.reshape(f, n * ho * wo))  # BLAS may round a strided operand differently
@@ -101,12 +102,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             db = g.sum(axis=(1, 2, 3))
         dx = None
         if x_tracked and stride == 1:
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * kh * kw)
+            wflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * kh * kw)
             gcols = im2col(_pad(g2.reshape(f, n, ho, wo), kh - 1 - padding, kw - 1 - padding), kh, kw)
             dx = (wflip @ gcols).reshape(c, n, h, w)
         elif x_tracked:
             dcols = (w2.T @ g2).reshape(c, kh, kw, n, ho, wo)
-            dxpad = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.data.dtype)
+            dxpad = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x_dtype)
             for i in range(kh):
                 for j in range(kw):
                     dxpad[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .nn import Parameter
@@ -17,8 +19,8 @@ class SGD:
     """
 
     def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.9):
-        if lr < 0:  # lr=0 is a valid no-op step, used to probe a training setup
-            raise ValueError(f"lr must be >= 0, got {lr}")
+        if not 0 <= lr < math.inf:  # lr=0 is a valid no-op step, used to probe a training setup
+            raise ValueError(f"lr must be finite and >= 0, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.params = list(params)

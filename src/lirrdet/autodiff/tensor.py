@@ -6,12 +6,21 @@ gradient computation are recorded on the thread's tape in execution order
 once in reverse and accumulates gradients into the ``grad`` attribute of
 leaf tensors created with ``requires_grad=True``.
 
+An entry on the tape holds only what its backward reads. For each input
+it holds that input's producing entry (a tracked intermediate), the leaf
+tensor (one that requires grad) or nothing (an untracked input); it holds
+its output by weak reference; and its backward rule captures the buffers
+the rule reads, not its inputs: ``conv2d`` its im2col columns, ``relu`` a
+bool mask, ``+`` and ``*`` by a scalar nothing. An intermediate tensor is
+therefore freed as soon as its caller drops it, before ``backward``; one
+the caller keeps is still tracked until the sweep passes its entry.
+
 Each thread has one tape, and each ``backward`` empties it: it takes every
 op off the tape as it sweeps it and unlinks the op's output, so the op's
-inputs, backward rule and buffers are freed by reference counting once
-nothing else holds them, even when a backward rule raises. Tensors of a
-swept graph are no longer tracked, so a second ``backward`` from the same
-loss raises ``TapeError``.
+backward rule and buffers are freed by reference counting once nothing
+else holds them, even when a backward rule raises. Tensors of a swept
+graph are no longer tracked, so a second ``backward`` from the same loss
+raises ``TapeError``.
 
 A training step records ``conv2d`` and ``grad_reverse`` (``functional.py``),
 ``relu``, tensor ``+`` tensor, tensor ``*`` scalar, ``anchor_order``
@@ -30,6 +39,7 @@ well.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -97,7 +107,10 @@ def no_grad():
 
 
 class _Entry:
-    """One recorded operation: inputs, output and its backward rule."""
+    """One recorded operation. ``inputs`` has, per input, its producing
+    ``_Entry``, the leaf ``Tensor`` or None (untracked); ``output`` is a
+    weak reference to the output tensor; ``backward`` maps the output's
+    gradient to one gradient (or None) per input."""
 
     __slots__ = ("inputs", "output", "backward")
 
@@ -110,7 +123,7 @@ class _Entry:
 class Tensor:
     """Dense n-dimensional float tensor with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_entry", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_entry", "_tape", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_state.dtype)
@@ -130,17 +143,17 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        return _binary(self, other, lambda a, b: a + b, lambda g, a, b: (g, g), "add")
+        return _binary(self, other, lambda a, b: a + b, lambda a, b: lambda g: (g, g), "add")
 
     def __sub__(self, other):
-        return _binary(self, other, lambda a, b: a - b, lambda g, a, b: (g, -g), "sub")
+        return _binary(self, other, lambda a, b: a - b, lambda a, b: lambda g: (g, -g), "sub")
 
     def __mul__(self, other):
-        return _binary(self, other, lambda a, b: a * b, lambda g, a, b: (g * b, g * a), "mul")
+        return _binary(self, other, lambda a, b: a * b, _mul_rule, "mul")
 
     def relu(self) -> "Tensor":
-        a = self.data
-        return _op(np.maximum(a, 0.0), (self,), lambda g: (g * (a > 0),))
+        mask = self.data > 0 if _records((self,)) else None
+        return _op(np.maximum(self.data, 0.0), (self,), lambda g: (g * mask,))
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -151,32 +164,50 @@ class Tensor:
         return _op(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
 
+def _records(inputs) -> bool:
+    """Whether an op on `inputs` goes on the tape: grad mode is on and an
+    input is tracked (a leaf that requires grad, or the output of an op
+    still on a tape)."""
+    return _state.grad_enabled and any(t.requires_grad or t._entry is not None for t in inputs)
+
+
 def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
     """The output of an op: `data` as a tensor, recorded on the thread's tape
-    with `backward_fn` if grad mode is on and any input is tracked (a leaf
-    that requires grad, or the output of an op still on a tape)."""
+    with `backward_fn` if `_records(inputs)`. The entry keeps each tracked
+    input's entry or leaf, not the input tensor."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
     out.grad = None
     out._entry = None
     out._tape = None
-    if _state.grad_enabled and any(t.requires_grad or t._entry is not None for t in inputs):
-        out._entry = _Entry(inputs, out, backward_fn)
+    if _records(inputs):
+        sources = tuple(t._entry if t._entry is not None else t if t.requires_grad else None
+                        for t in inputs)
+        out._entry = _Entry(sources, weakref.ref(out), backward_fn)
         out._tape = _state.tape
         out._tape.append(out._entry)
     return out
 
 
-def _binary(a: Tensor, b, fwd, bwd, name: str) -> Tensor:
-    """Elementwise op of a tensor and a same-shape tensor or a Python scalar."""
+def _binary(a: Tensor, b, fwd, rule, name: str) -> Tensor:
+    """Elementwise op of a tensor and a same-shape tensor or a Python scalar.
+    `rule(x, y)` makes the backward rule from the operands' data, y being
+    the scalar for a scalar operand; the rule keeps only what it reads."""
     if isinstance(b, Tensor):
         if a.data.shape != b.data.shape:
             raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} differ "
                              "(an operand is a same-shape tensor or a Python scalar)")
-        return _op(fwd(a.data, b.data), (a, b), lambda g: bwd(g, a.data, b.data))
+        return _op(fwd(a.data, b.data), (a, b), rule(a.data, b.data))
     s = float(b)
-    return _op(fwd(a.data, s), (a,), lambda g: bwd(g, a.data, s)[:1])
+    return _op(fwd(a.data, s), (a,), rule(a.data, s))
+
+
+def _mul_rule(x, y):
+    """tensor * tensor reads both operands; tensor * scalar only the scalar."""
+    if isinstance(y, float):
+        return lambda g: (g * y,)
+    return lambda g: (g * y, g * x)
 
 
 def backward(loss: Tensor) -> None:
@@ -202,21 +233,27 @@ def backward(loss: Tensor) -> None:
     try:
         while tape:
             entry = tape.pop()
-            entry.output._entry = None
+            _untrack(entry)
             g = staged.pop(entry, None)
             if g is None:
                 continue
             input_grads = entry.backward(g)
-            for t, gi in zip(entry.inputs, input_grads):
-                if gi is None:
+            for src, gi in zip(entry.inputs, input_grads):
+                if gi is None or src is None:
                     continue
-                if t._entry is not None:
-                    key = t._entry
-                    staged[key] = staged[key] + gi if key in staged else gi
-                elif t.requires_grad:
-                    gi = np.asarray(gi, dtype=t.data.dtype).reshape(t.data.shape)
-                    t.grad = gi.copy() if t.grad is None else t.grad + gi
+                if type(src) is _Entry:
+                    staged[src] = staged[src] + gi if src in staged else gi
+                else:
+                    gi = np.asarray(gi, dtype=src.data.dtype).reshape(src.data.shape)
+                    src.grad = gi.copy() if src.grad is None else src.grad + gi
     finally:
         for entry in tape:
-            entry.output._entry = None
+            _untrack(entry)
         tape.clear()
+
+
+def _untrack(entry: _Entry) -> None:
+    """Unlink the entry's output, if still alive, from the tape."""
+    out = entry.output()
+    if out is not None:
+        out._entry = None

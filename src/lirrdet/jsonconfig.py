@@ -13,7 +13,8 @@ number fills a number field. A bool is not a number, null fits nothing,
 ``NaN``, ``Infinity`` (which Python's JSON parser reads) and an integer no
 float can hold fit no number field, and an int field takes only a JSON
 integer. Errors are ``ValueError`` naming the dotted key, such as
-``scene.foo`` or ``steps``.
+``scene.foo`` or ``steps``. ``check_finite`` is the same number check for
+a record built in Python: each config class runs it at construction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 
 
@@ -54,6 +56,16 @@ def to_json(value):
 def is_finite(value) -> bool:
     """Whether a JSON number fits a float: not NaN, Infinity or 10**400."""
     return abs(value) <= sys.float_info.max
+
+
+def check_finite(record) -> None:
+    """Raise ValueError naming the first field of dataclass ``record`` that
+    is, or is a tuple holding, a NaN or infinite number."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, Real) and not is_finite(v) for v in items):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def from_json_dict(cls, d, prefix: str = ""):

@@ -66,7 +66,7 @@ from .autodiff import (
 from .autodiff.tensor import _op
 from .detector.loss import detection_loss_terms
 from .detector.matching import match_anchors
-from .jsonconfig import to_json
+from .jsonconfig import check_finite, to_json
 
 
 CLASSIFIER_HIDDEN = 32  # hidden units of the domain classifier
@@ -84,6 +84,7 @@ class LirrConfig:
     grl_lambda: float = 1.0
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("lambda_rep", "lambda_risk", "grl_lambda"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -142,7 +143,7 @@ def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
         raise ShapeError(f"rep_loss: the classifier takes C = {len(w1)} channels of "
                          f"(C, N, H, W) maps, {shapes}")
 
-    sides, bce = [], []  # per domain: map, pooled, pre-activation, hidden, logits, targets
+    sides, bce = [], []  # per domain: map shape and dtype, pooled, pre-activation, hidden, logits, targets
     for f, fill in zip(maps, (np.ones, np.zeros)):
         h = np.ascontiguousarray(f.mean(axis=(2, 3)).T)  # (N, C): BLAS may round a transposed operand differently
         pre = h @ w1 + b1[None, :]
@@ -150,16 +151,16 @@ def rep_loss(feat_src: Tensor, feat_tgt: Tensor, classifier: DomainClassifier,
         z = a @ w2 + b2[None, :]
         t = fill(z.shape, dtype=z.dtype)
         per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-        sides.append((f, h, pre, a, z, t))
+        sides.append((f.shape, f.dtype, h, pre, a, z, t))
         bce.append(np.asarray(per.mean(), z.dtype))
 
     def backward_fn(g):
         feat_grads, param_grads = [], []
-        for f, h, pre, a, z, t in sides:
+        for shape, dtype, h, pre, a, z, t in sides:
             dz = (_sigmoid(z) - t) / z.size * g
             dpre = (dz @ w2.T) * (pre > 0)
-            dh = (-grl_lambda * (dpre @ w1.T)).T[:, :, None, None] / (f.shape[2] * f.shape[3])
-            feat_grads.append(np.broadcast_to(dh, f.shape).astype(f.dtype, copy=False))
+            dh = (-grl_lambda * (dpre @ w1.T)).T[:, :, None, None] / (shape[2] * shape[3])
+            feat_grads.append(np.broadcast_to(dh, shape).astype(dtype, copy=False))
             param_grads.append((h.T @ dpre, dpre.sum(axis=0), a.T @ dz, dz.sum(axis=0)))
         # the target's term, then + the source's: the order a sweep of the pool/MLP/BCE ops adds them
         return (*feat_grads, *(t + s for s, t in zip(*param_grads)))
@@ -199,9 +200,10 @@ def _risk_sum(cls: Tensor, loc: Tensor, matches):
     """
     values, cls_parts, loc_parts, add_grads = zip(*[
         detection_loss_terms(cls.data[b], loc.data[b], match) for b, match in enumerate(matches)])
+    layouts = [(t.data.shape, t.data.dtype) for t in (cls, loc)]  # the rule keeps these, not the tensors
 
     def backward_fn(g):
-        dcls, dloc = np.zeros_like(cls.data), np.zeros_like(loc.data)
+        dcls, dloc = (np.zeros(shape, dtype) for shape, dtype in layouts)
         for b, add_grad in enumerate(add_grads):
             add_grad(g, dcls[b], dloc[b])
         return dcls, dloc

@@ -33,7 +33,7 @@ from .coco_eval import EvalInput, evaluate
 from .container import atomic_open
 from .detector.inference import forward_detect, save_detections
 from .detector.model import Detector, ModelSpec
-from .jsonconfig import from_json_dict, is_finite, read_json, to_json
+from .jsonconfig import check_finite, from_json_dict, is_finite, read_json, to_json
 from .lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
 from .synthgen import load_dataset
 
@@ -102,6 +102,7 @@ class ExperimentConfig:
     out_dir: str = "run"
 
     def __post_init__(self):
+        check_finite(self)
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         for name in ("label_budget", "batch_size", "steps", "eval_cadence"):

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .container import json_int, read, write
-from .jsonconfig import from_json_dict, to_json
+from .jsonconfig import check_finite, from_json_dict, to_json
 from .lirr import DomainLabel
 
 # supersampling factor for silhouette coverage; 4x4 subsamples per pixel
@@ -88,6 +88,7 @@ class DomainParams:
     target_texture: TargetTexture = TargetTexture.FLAT
 
     def __post_init__(self):
+        check_finite(self)
         if self.illumination_gain <= 0:
             raise ValueError(f"illumination_gain must be > 0, got {self.illumination_gain}")
         if not 0.0 <= self.gradient_strength < 1.0:
@@ -110,6 +111,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.size < 16:
             raise ValueError(f"size must be >= 16, got {self.size}")
         if self.seed < 0:

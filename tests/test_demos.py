@@ -1,6 +1,8 @@
-"""Smoke runs of the demo scripts, so an API change they rely on cannot
-break them unnoticed. Each runs in a subprocess on a miniature setting."""
+"""Smoke runs of the demo scripts and of README's Library example, so an
+API change they rely on cannot break them unnoticed. Each script runs in a
+subprocess on a miniature setting; the example runs as written."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,8 @@ import pytest
 
 import lirrdet
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script,args,summary", [
@@ -27,3 +30,12 @@ def test_demo_runs(tmp_path, script, args, summary):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert summary in proc.stdout
+
+
+def test_readme_library_example_runs():
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md (Library)", "exec"), scope)
+    assert math.isfinite(scope["bd"].l_total)
+    assert isinstance(scope["dets"], list)

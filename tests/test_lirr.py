@@ -1,5 +1,7 @@
+import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from types import SimpleNamespace
 from lirrdet import lirr
 from lirrdet.autodiff import (
     SGD,
+    Parameter,
+    conv2d,
     ShapeError,
     Tensor,
     backward,
@@ -18,7 +22,7 @@ from lirrdet.autodiff import (
 )
 from lirrdet.detector import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.loss import detection_loss_terms
-from lirrdet.detector.model import HEAD_STRIDES, Detector, HeadSet, ModelSpec
+from lirrdet.detector.model import HEAD_STRIDES, Detector, HeadSet, ModelSpec, anchor_order
 from lirrdet.lirr import (
     _matches,
     _objective,
@@ -34,6 +38,7 @@ from lirrdet.lirr import (
 )
 
 import _layout_ref
+from _gradcheck import dot
 from _head_ref import head_set_call
 from _layout_ref import swap_nc
 from _rep_ref import binary_cross_entropy_logit, classify, global_avg_pool, matmul
@@ -102,6 +107,13 @@ class TestConfig:
     def test_rejects_negative(self, field):
         with pytest.raises(ValueError, match=field):
             LirrConfig(**{field: -0.5})
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_rep", np.nan), ("lambda_risk", np.inf), ("grl_lambda", np.inf), ("grl_lambda", np.nan),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            LirrConfig(**{field: value})
 
     def test_domain_label_values(self):
         assert int(DomainLabel.SOURCE) == 0
@@ -703,44 +715,139 @@ class TestChannelMajorMatchesBatchMajorInTraining:
         assert params == ref_params
 
 
+def default_step_args(sda):
+    """_objective's arguments for one default-model step of 8 (+ 8) images."""
+    spec = ModelSpec()
+    rng = np.random.default_rng(0)
+    src = [make_sample(rng, DomainLabel.SOURCE, -0.4, spec.image_size) for _ in range(8)]
+    tgt = [make_sample(rng, DomainLabel.TARGET, 0.2, spec.image_size) for _ in range(8)]
+    model = Detector(spec, rng=rng)
+    if sda:
+        return src, tgt, model, DomainClassifier(spec.widths[-1], rng=rng), LirrConfig()
+    return None, tgt, model, None, None
+
+
+def held_at_backward(args):
+    """The sizes of the numpy data buffers a step's forward leaves alive
+    when backward starts. Python objects are left out: how many of them
+    numpy's and Python's free lists serve untraced depends on what the
+    process ran before."""
+    backward(_objective(*args)[0])  # first-call allocations happen here
+    tracemalloc.start()
+    try:
+        total = _objective(*args)[0]
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    backward(total)
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return [t.size for t in arrays.traces]
+
+
+def backbone_layers(spec):
+    """(input channels, output channels, output stride) of each backbone conv."""
+    return list(zip((spec.in_channels, *spec.widths[:3]), spec.widths, (2, 4, 8, 16)))
+
+
 class TestSharedHeadColumns:
-    """Bytes held after the forward of one default-model step (8 + 8
+    """Array bytes held after the forward of one default-model step (8 + 8
     images), against the batch-major path where every head conv unrolls
     its own input."""
 
     @pytest.mark.parametrize("sda", [True, False])
     def test_one_column_array_per_head_input(self, monkeypatch, sda):
-        spec = ModelSpec()
-        rng = np.random.default_rng(0)
-        src = [make_sample(rng, DomainLabel.SOURCE, -0.4, spec.image_size) for _ in range(8)]
-        tgt = [make_sample(rng, DomainLabel.TARGET, 0.2, spec.image_size) for _ in range(8)]
-        model = Detector(spec, rng=rng)
-        args = (src, tgt, model, DomainClassifier(spec.widths[-1], rng=rng), LirrConfig()) if sda \
-            else (None, tgt, model, None, None)
-
-        def held():
-            backward(_objective(*args)[0])  # first-call allocations happen here
-            tracemalloc.start()
-            try:
-                total = _objective(*args)[0]
-                kept = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            backward(total)
-            return kept
-
-        kept = held()
+        args = default_step_args(sda)
+        spec, n = args[2].spec, len(args[1])
+        kept = sum(held_at_backward(args))
         _layout_ref.install(monkeypatch)
-        ref = held()
+        ref = sum(held_at_backward(args))
         # a batch's head inputs, one per level: C*3*3 rows by N*H*W columns each
         itemsize = np.dtype(np.float32).itemsize
-        columns = sum(ch * 9 * len(tgt) * (spec.image_size // stride) ** 2 * itemsize
+        columns = sum(ch * 9 * n * (spec.image_size // stride) ** 2 * itemsize
                       for ch, stride in zip(spec.widths[2:], HEAD_STRIDES))
         assert columns == 1_179_648
         # SDA: 4 head convs read each of 2 batches' inputs; supervised: cls and loc read 1
         saved = columns * (2 * 3 if sda else 1)
-        overhead = ref - kept - saved
-        assert 0 <= overhead < 8192, (ref, kept, saved)
+        # the batch-major conv's rule keeps its input tensor: a batch's stacked
+        # images and the four backbone ReLU outputs stay alive in that path
+        inputs = n * itemsize * (spec.in_channels * spec.image_size ** 2
+                                 + sum(cout * (spec.image_size // s) ** 2 for _, cout, s in backbone_layers(spec)))
+        assert inputs == 1_048_576
+        assert ref - kept == saved + inputs * (2 if sda else 1), (ref, kept, saved)
+
+
+class TestHeldAtBackward:
+    """What one default-model step's graph holds when backward starts: the
+    im2col columns of every conv input and one bool mask per backbone ReLU,
+    byte for byte; no rule keeps an input tensor."""
+
+    @pytest.mark.parametrize("sda", [True, False])
+    def test_columns_and_relu_masks_only(self, sda):
+        args = default_step_args(sda)
+        spec, n = args[2].spec, len(args[1])
+        itemsize = np.dtype(np.float32).itemsize
+        per_batch = [cin * 9 * n * (spec.image_size // s) ** 2 * itemsize for cin, _, s in backbone_layers(spec)]
+        per_batch += [ch * 9 * n * (spec.image_size // s) ** 2 * itemsize
+                      for ch, s in zip(spec.widths[2:], HEAD_STRIDES)]  # shared by every head set
+        per_batch += [cout * n * (spec.image_size // s) ** 2 for _, cout, s in backbone_layers(spec)]
+        assert sum(per_batch) == 3_694_592
+        sizes = held_at_backward(args)
+        # every other numpy buffer the step holds is under 4 KiB (each
+        # sample's sampled rows, the classifier's pooled (N, C) features),
+        # and every array input of a conv, relu, anchor_order, risk or
+        # alignment op has 30 KiB or more (a batch's anchor-ordered logits)
+        assert sorted(s for s in sizes if s >= 4096) == sorted(per_batch * (2 if sda else 1))
+
+
+def _risk_case():
+    model = small_model(7)
+    matches = _matches(make_batches(8, n_src=0)[1], model)
+    a = len(model.anchors)
+    return [(2, a, SMALL_SPEC.num_logits), (2, a, 4)], lambda cls, loc: _risk_sum(cls, loc, matches)[0]
+
+
+def _conv_case(stride):
+    w, b = Parameter(np.ones((4, 3, 3, 3))), Parameter(np.zeros(4))
+    return [(3, 2, 6, 6)], lambda x: conv2d(x, w, b, stride=stride, padding=1)
+
+
+STEP_OPS = {  # each op a training step records: its input shapes and the op
+    "relu": lambda: ([(2, 3, 4, 4)], lambda x: x.relu()),
+    "add": lambda: ([(3, 4), (3, 4)], lambda x, y: x + y),
+    "mul_scalar": lambda: ([(3, 4)], lambda x: x * 0.5),
+    "conv2d_stride1": lambda: _conv_case(1),
+    "conv2d_stride2": lambda: _conv_case(2),
+    "grad_reverse": lambda: ([(2, 3, 4, 4)], lambda x: grad_reverse(x, 1.0)),
+    "anchor_order": lambda: ([(12, 2, 4, 4), (12, 2, 2, 2)], lambda a, b: anchor_order([a, b], 2)),
+    "risk_sum": _risk_case,
+    "rep_loss": lambda: ([(5, 2, 3, 3), (5, 3, 2, 2)],
+                         lambda fs, ft: rep_loss(fs, ft, DomainClassifier(5, rng=np.random.default_rng(0)))),
+}
+
+
+class TestRulesKeepNoInput:
+    """No op of a training step keeps an input tensor or its data: an
+    intermediate the caller drops is freed before backward (grad_reverse's
+    output is its input's data, by design)."""
+
+    @pytest.mark.parametrize("name", sorted(STEP_OPS))
+    def test_dropped_inputs_are_freed(self, name):
+        shapes, op = STEP_OPS[name]()
+        rng = np.random.default_rng(1)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        gc.disable()
+        try:
+            inputs = [leaf * 1.0 for leaf in leaves]
+            out = op(*inputs)
+            alive = [(weakref.ref(t), weakref.ref(t.data), t.data is out.data) for t in inputs]
+            del inputs
+            for tensor, data, shared in alive:
+                assert tensor() is None
+                assert (data() is not None) == shared
+        finally:
+            gc.enable()
+        backward(dot(out))
+        assert all(leaf.grad is not None for leaf in leaves)
 
 
 @st.composite

@@ -37,6 +37,11 @@ class TestSGD:
             opt.step()
         assert p.data[0] == pytest.approx(-2.9)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="^lr must be finite"):
+            SGD([Parameter(np.array([0.0]))], lr=lr)
+
     def test_invalid_hyperparams(self):
         p = Parameter(np.array([0.0]))
         with pytest.raises(ValueError):

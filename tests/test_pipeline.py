@@ -109,6 +109,15 @@ class TestExperimentConfig:
             ExperimentConfig(source_path="s", target_train_path="t",
                              target_test_path="e", **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", math.nan), ("lr", math.inf), ("momentum", math.nan), ("lambda_rep", -math.inf),
+        ("lambda_risk", math.nan), ("grl_lambda", math.inf),
+    ])
+    def test_non_finite_number_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ExperimentConfig(source_path="s", target_train_path="t",
+                             target_test_path="e", **{field: value})
+
     @pytest.mark.parametrize("mode,missing", [
         ("SourceOnly", "source_path"),
         ("Oracle", "target_train_path"),

@@ -57,6 +57,14 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DomainParams(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [
+        ("illumination_gain", math.nan), ("noise_sigma", math.inf), ("gradient_direction", math.nan),
+        ("gradient_direction", -math.inf), ("gradient_strength", math.nan), ("clutter_density", math.nan),
+    ])
+    def test_domain_params_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DomainParams(**{field: value})
+
     def test_enum_coercion_from_strings(self):
         p = DomainParams(background="starfield", target_texture="panelled")
         assert p.background is Background.STARFIELD
@@ -76,6 +84,14 @@ class TestParamValidation:
     def test_scene_spec_rejects(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SceneSpec(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("scale_range", (math.nan, 0.3)), ("rotation_range", (0.0, math.inf)),
+        ("position_range", (0.2, math.nan)), ("scale_range", (0.1, math.inf)),
+    ])
+    def test_scene_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SceneSpec(**{field: value})
 
 
 class TestRenderScene:

@@ -1,7 +1,9 @@
 """Core tensor ops: forward values, tape semantics, finite-difference checks."""
 
 import gc
+import tracemalloc
 import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -145,6 +147,62 @@ class TestTapeSemantics:
             # an untracked tensor records nothing, so there is no graph to sweep
             with pytest.raises(TapeError):
                 backward(dot(t * 1.0))
+
+
+class TestLifetimes:
+    """An entry keeps the producing entries and leaves of its inputs, not the
+    input tensors, and holds its output weakly."""
+
+    def test_dropped_intermediate_is_freed_before_backward(self):
+        gc.disable()
+        try:
+            p = Tensor(np.ones((2, 3)), requires_grad=True)
+            hidden = p * 2.0
+            alive, data = weakref.ref(hidden), weakref.ref(hidden.data)
+            loss = dot(hidden.relu() + hidden * 3.0)
+            del hidden
+            assert alive() is None and data() is None
+            backward(loss)
+            np.testing.assert_array_equal(p.grad, np.full((2, 3), 8.0))
+        finally:
+            gc.enable()
+
+    def test_kept_intermediate_is_untracked_after_backward(self):
+        p = Tensor([1.0, -2.0], requires_grad=True)
+        hidden = p * 2.0
+        loss = dot(hidden.relu())
+        assert hidden._entry is not None
+        backward(loss)
+        assert hidden._entry is None
+        np.testing.assert_array_equal(hidden.data, [2.0, -4.0])
+        with pytest.raises(TapeError):
+            backward(dot(hidden * 1.0))
+
+    def test_parameter_used_thrice_accumulates_in_sweep_order(self):
+        # the last use is swept first: 1 + 2**-24 + 2**-24 rounds to 1 in
+        # float32, while the recording order would give 1 + 2**-23
+        p = Tensor([1.0], requires_grad=True)
+        tiny = 2.0 ** -24
+        loss = dot(p * tiny) + dot(p * tiny) + dot(p * 1.0)
+        backward(loss)
+        one, eps = np.float32(1.0), np.float32(tiny)
+        assert p.grad[0] == one + eps + eps == one
+        assert eps + eps + one != one
+
+    def test_no_grad_relu_builds_no_mask(self):
+        x = Tensor(np.ones(1 << 16), requires_grad=True)
+        peaks = []
+        for mode in (no_grad(), nullcontext()):
+            with mode:
+                tracemalloc.start()
+                try:
+                    y = x.relu()
+                    peaks.append(tracemalloc.get_traced_memory()[1] - y.data.nbytes)
+                finally:
+                    tracemalloc.stop()
+        backward(dot(y))  # sweep the recorded relu off this thread's tape
+        mask = x.data.size  # one byte per element
+        assert peaks[0] < mask // 2 <= mask <= peaks[1], peaks
 
 
 class TestGradientsAgainstFiniteDifferences:
