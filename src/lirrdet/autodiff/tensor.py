@@ -192,20 +192,20 @@ def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
 
 def _binary(a: Tensor, b, fwd, rule, name: str) -> Tensor:
     """Elementwise op of a tensor and a same-shape tensor or a Python scalar.
-    `rule(x, y)` makes the backward rule from the operands' data, y being
-    the scalar for a scalar operand; the rule keeps only what it reads."""
+    `rule(x, y)` makes the backward rule from the operands' data, or from
+    `(None, scalar)` for a scalar operand; the rule keeps only what it reads."""
     if isinstance(b, Tensor):
         if a.data.shape != b.data.shape:
             raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} differ "
                              "(an operand is a same-shape tensor or a Python scalar)")
         return _op(fwd(a.data, b.data), (a, b), rule(a.data, b.data))
     s = float(b)
-    return _op(fwd(a.data, s), (a,), rule(a.data, s))
+    return _op(fwd(a.data, s), (a,), rule(None, s))
 
 
 def _mul_rule(x, y):
-    """tensor * tensor reads both operands; tensor * scalar only the scalar."""
-    if isinstance(y, float):
+    """tensor * tensor reads both operands; tensor * scalar (x is None) only the scalar."""
+    if x is None:
         return lambda g: (g * y,)
     return lambda g: (g * y, g * x)
 

@@ -273,6 +273,23 @@ class TestGradientsAgainstFiniteDifferences:
             (num,) = finite_diff_grads(f, [a0])
             assert max_rel_err(ta.grad, num) < 1e-6
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_zero_d_product_with_an_op_output(self, dtype):
+        # 0-d float64 ops give numpy scalars (np.float64 subclasses float):
+        # the right operand's data must not pass for a Python scalar
+        with precision(dtype):
+            p, q = Tensor(2.0, requires_grad=True), Tensor(3.0, requires_grad=True)
+            s = p + q
+            assert isinstance(s.data, float) == (dtype == "float64")
+            backward(p * s)
+
+            def f(a, b):
+                return float(a * (a + b))
+
+            num_p, num_q = finite_diff_grads(f, [np.array(2.0), np.array(3.0)])
+            assert max_rel_err(p.grad, num_p) < 1e-6 and p.grad == 7.0
+            assert max_rel_err(q.grad, num_q) < 1e-6 and q.grad == 2.0
+
     def test_branching_graph_accumulation(self):
         with precision("float64"):
             x = Tensor([1.5, -0.5], requires_grad=True)
