@@ -12,12 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..jsonconfig import check_finite
+
 
 @dataclass(frozen=True)
 class LevelSpec:
     stride: int
     scales: tuple = (8.0,)
     aspects: tuple = (1.0,)
+
+    def __post_init__(self):
+        check_finite(self)
+        if self.stride <= 0:
+            raise ValueError(f"stride must be positive, got {self.stride!r}")
+        for name in ("scales", "aspects"):
+            values = getattr(self, name)
+            if not isinstance(values, tuple) or not values or not all(v > 0 for v in values):
+                raise ValueError(f"{name} must be a non-empty tuple of positive numbers, got {values!r}")
 
     @property
     def anchors_per_cell(self) -> int:
@@ -37,7 +48,7 @@ def generate_anchors(image_size: int, levels) -> np.ndarray:
         raise ValueError("generate_anchors: need at least one level")
     boxes = []
     for lv in levels:
-        if lv.stride <= 0 or image_size % lv.stride != 0:
+        if image_size % lv.stride != 0:
             raise ValueError(
                 f"generate_anchors: image size {image_size} not divisible by stride {lv.stride}")
         n = image_size // lv.stride

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .container import json_int, read, write
+from .container import InFile, json_int, read, write
 from .jsonconfig import check_finite, from_json_dict, to_json
 from .lirr import DomainLabel
 
@@ -128,11 +128,37 @@ class SceneSpec:
             raise ValueError(f"position_range must lie in [0, 1], got {self.position_range}")
 
 
+class _Row(NamedTuple):
+    """Image `index` of a loaded split: a row of the split file's 'images' block."""
+    block: InFile
+    shape: tuple
+    index: int
+
+    def read(self) -> np.ndarray:
+        nbytes = 4 * math.prod(self.shape)
+        data = self.block.file.pread(nbytes, self.block.offset + self.index * nbytes)
+        return np.frombuffer(data, dtype="<f4").reshape(self.shape)
+
+
+class _Image:
+    """`Sample.image`: the array it was given, or for a loaded sample a read-only
+    array read from the split's file with one pread on each access."""
+
+    def __get__(self, sample, owner=None):
+        if sample is None:
+            raise AttributeError("image")  # the field has no default
+        image = vars(sample)["image"]
+        return image.read() if isinstance(image, _Row) else image
+
+    def __set__(self, sample, image):
+        vars(sample)["image"] = image
+
+
 @dataclass
 class Sample:
-    image: np.ndarray          # (1, H, W) float32 in [0, 1]
-    gt_boxes: np.ndarray       # (G, 4) float64, pixel xyxy
-    gt_classes: np.ndarray     # (G,) int64
+    image: np.ndarray = _Image()  # (1, H, W) float32 in [0, 1]
+    gt_boxes: np.ndarray          # (G, 4) float64, pixel xyxy
+    gt_classes: np.ndarray        # (G,) int64
     domain: DomainLabel
     image_id: int
 
@@ -472,7 +498,9 @@ def save_dataset(samples, path, config: dict | None = None) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    header, blocks = read(path, DatasetError)
+    """Check the split file at `path` and load its annotations. Each sample's image
+    stays in the file, which is held open until the last sample is dropped."""
+    header, blocks = read(path, DatasetError, in_file={"images"})
     count, shape, config = header.get("count"), header.get("image_shape"), header.get("config", {})
     if not isinstance(config, dict):
         raise DatasetError(f"{path}: header 'config' {config!r} is not a JSON object")
@@ -481,7 +509,8 @@ def load_dataset(path) -> Dataset:
     try:
         if json_int(count) < 0 or not isinstance(shape, list) or min(map(json_int, shape), default=1) < 1:
             raise ValueError("negative count or image size")
-        images = np.frombuffer(blocks["images"], dtype="<f4").reshape((count, *shape))
+        if 4 * count * math.prod(shape) != blocks["images"].nbytes:
+            raise ValueError(f"{count} images of {4 * math.prod(shape)} bytes")
     except (TypeError, ValueError) as e:
         raise DatasetError(f"{path}: header 'count' {count!r} and 'image_shape' {shape!r} do not "
                            f"describe the {blocks['images'].nbytes}-byte 'images' block ({e})") from e
@@ -491,7 +520,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"{path}: annotation block is not UTF-8: {e}") from e
     if len(lines) != count:
         raise DatasetError(f"{path}: annotation count {len(lines)} does not match header count {count}")
-    samples = [_sample(path, i, line, images[i]) for i, line in enumerate(lines)]
+    images, shape = blocks["images"], tuple(shape)
+    samples = [_sample(path, i, line, _Row(images, shape, i)) for i, line in enumerate(lines)]
     first = {}
     for i, sample in enumerate(samples):
         if first.setdefault(sample.image_id, i) != i:  # results are keyed by image_id
@@ -509,7 +539,7 @@ _RECORD_FIELDS = {
 }
 
 
-def _sample(path, i: int, line: str, image: np.ndarray) -> Sample:
+def _sample(path, i: int, line: str, image: _Row) -> Sample:
     try:
         rec = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as e:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,16 @@ class TestGenerateAnchors:
     def test_indivisible_stride_rejected(self):
         with pytest.raises(ValueError):
             generate_anchors(60, [LevelSpec(stride=8)])
+
+    @pytest.mark.parametrize("field,value", [
+        ("stride", 0), ("stride", -8), ("stride", math.nan), ("stride", math.inf),
+        ("scales", (math.nan,)), ("scales", (math.inf,)), ("scales", ()), ("scales", (8.0, -1.0)),
+        ("aspects", (-1.0,)), ("aspects", (0.0,)), ("aspects", (1.0, math.inf)), ("aspects", ()),
+        ("aspects", [1.0]),
+    ])
+    def test_level_spec_rejects_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LevelSpec(**{"stride": 8, field: value})
 
     def test_against_second_implementation(self):
         # independent vectorized construction of the same layout

@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
+import os
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +421,61 @@ class TestSaveLoad:
             tracemalloc.stop()
         assert peak < 0.1 * images.nbytes, peak
         assert load_dataset(tmp_path / "split.bin").samples[299].image.tobytes() == images[299].tobytes()
+
+    def test_loaded_split_holds_no_images(self, tmp_path):
+        images = np.random.default_rng(9).random((300, 1, 64, 64), dtype=np.float32)
+        save_dataset(_samples(images), tmp_path / "split.bin")
+        tracemalloc.start()
+        try:
+            samples = load_dataset(tmp_path / "split.bin").samples
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * images.nbytes, held
+        for i, s in enumerate(samples):
+            assert s.image.dtype == np.float32 and not s.image.flags.writeable
+            assert s.image.tobytes() == images[i].tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+    def test_dropping_the_samples_closes_the_file(self, tmp_path):
+        path = tmp_path / "split.bin"
+        save_dataset(_samples(np.zeros((3, 1, 8, 8), np.float32)), path)
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(200):
+                samples = load_dataset(path).samples
+                last = samples.pop()
+                del samples
+                assert len(os.listdir("/proc/self/fd")) == before + 1  # held by the last sample
+                assert last.image.shape == (1, 8, 8)
+                del last
+                assert len(os.listdir("/proc/self/fd")) == before
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_an_atomic_replace_leaves_the_loaded_bytes(self, tmp_path):
+        path = tmp_path / "split.bin"
+        old, new = np.random.default_rng(10).random((2, 4, 1, 8, 8), dtype=np.float32)
+        save_dataset(_samples(old), path)
+        samples = load_dataset(path).samples
+        save_dataset(_samples(new), path)
+        assert [s.image.tobytes() for s in samples] == [im.tobytes() for im in old]
+        assert [s.image.tobytes() for s in load_dataset(path).samples] == [im.tobytes() for im in new]
+
+    @pytest.mark.parametrize("rewrite", ["size", "mtime"])
+    def test_an_in_place_rewrite_raises_on_the_next_image(self, tmp_path, rewrite):
+        path = tmp_path / "split.bin"
+        save_dataset(_samples(np.zeros((2, 1, 8, 8), np.float32)), path)
+        samples = load_dataset(path).samples
+        assert samples[1].image.shape == (1, 8, 8)
+        if rewrite == "size":
+            with open(path, "ab") as f:
+                f.write(b"\0")
+        else:  # same bytes, a later mtime: no reliance on the file system's timestamp granularity
+            os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: the file changed in place")):
+            samples[1].image
 
     def make_small_dataset(self):
         cfg = BenchmarkConfig(source_count=6, target_train_small=2,
