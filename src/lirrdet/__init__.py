@@ -6,4 +6,27 @@ seeded synthetic domain-shift benchmark, COCO-style AP evaluation, and an
 experiment pipeline comparing source-only, oracle, and adaptive training.
 """
 
+import ctypes
+import sys
+
 __version__ = "0.1.0"
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap a training step frees for the next step (glibc only).
+
+    glibc serves blocks above its mmap threshold with fresh mappings and gives
+    free heap above its trim threshold back to the OS. Both start low and rise
+    only when a large block is freed, so a process that never frees one makes
+    each step fault its temporaries' pages in again: 228,000 minor faults over
+    300 SDA steps, against 2,200 once a 33 MB block has been freed. This sets
+    the values glibc's own rule gives after such a free."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+            mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's dynamic maximum
+            mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc sets it
+
+
+_keep_freed_heap()

@@ -6,14 +6,15 @@ holds ``version``, the caller's keys, a ``blocks`` table of
 the CRC-32 of the header's JSON without that key. A header line is accepted
 only if it is byte for byte the one `write` makes from its parsed content,
 so any change to its bytes is caught. `write` also takes a block as a list of
-parts, written back to back; its ``nbytes`` and ``crc32`` cover them joined.
-`read` streams the file through one fixed buffer, and can leave named blocks
-in the file, to be read on use from the descriptor it keeps open.
+parts, or as a callable that yields them, written back to back; its
+``nbytes`` and ``crc32`` cover them joined. `read` streams the file through
+one fixed buffer, and can leave named blocks in the file, to be read on use
+from the descriptor it keeps open. An `OpenFile` can also take over a
+descriptor its caller wrote, such as an unnamed temporary file.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import operator
 import os
@@ -52,15 +53,35 @@ def _header_line(header: dict) -> bytes:
     return json.dumps({**header, "header_crc32": zlib.crc32(json.dumps(header).encode())}).encode()
 
 
+def _table(blocks: dict, f=None) -> list:
+    """The ``[name, nbytes, crc32]`` of each block, writing its parts to `f` if given;
+    a callable block is called for its parts. A part that is not C-contiguous
+    raises BufferError."""
+    table = []
+    for name, block in blocks.items():
+        parts = block() if callable(block) else block if isinstance(block, list) else [block]
+        nbytes, crc = 0, 0
+        for v in map(memoryview, parts):
+            nbytes, crc = nbytes + v.nbytes, zlib.crc32(v, crc)
+            if f is not None:
+                f.write(v)
+        table.append([name, nbytes, crc])
+    return table
+
+
 def write(path, header: dict, blocks: dict) -> None:
     """Write `header` and the named `blocks` to `path`, atomically. A block is a C-contiguous
-    bytes-like object or a list of them; any other part raises before a file is made."""
-    parts = {name: [memoryview(p) for p in (b if isinstance(b, list) else [b])] for name, b in blocks.items()}
-    table = [[name, sum(v.nbytes for v in vs), functools.reduce(lambda crc, v: zlib.crc32(v, crc), vs, 0)]
-             for name, vs in parts.items()]
+    bytes-like object, a list of them, or a zero-argument callable that yields them.
+
+    A first pass sizes each block and chains its CRC, so any other part raises
+    before a file is made; a second pass writes the parts and sizes them again.
+    If a callable gave other bytes the second time, ValueError is raised before
+    the rename, so no header describes bytes other than its own."""
+    table = _table(blocks)
     with atomic_open(path, "wb") as f:
         f.write(_header_line({"version": VERSION, **header, "blocks": table}) + b"\n")
-        f.writelines(v for vs in parts.values() for v in vs)
+        if _table(blocks, f) != table:
+            raise ValueError(f"{path}: a block gave other bytes on its second pass")
 
 
 class OpenFile:
@@ -69,11 +90,13 @@ class OpenFile:
     `pread` first checks that the file still has the size and mtime it had when
     opened, so a rewrite in place raises `error_cls`; an atomic replace leaves
     the descriptor on the bytes that were checked. The descriptor closes when
-    the last reference to this object goes."""
+    the last reference to this object goes. Given `fd`, it takes over that
+    open descriptor instead of opening `path`, which then only names it in
+    messages."""
 
-    def __init__(self, path, error_cls):
+    def __init__(self, path, error_cls, fd: int | None = None):
         self.path, self.error_cls = path, error_cls
-        self.fd = os.open(path, os.O_RDONLY)
+        self.fd = os.open(path, os.O_RDONLY) if fd is None else fd
         self.close = weakref.finalize(self, os.close, self.fd)
         self._stamp = self._stat()
 

@@ -36,16 +36,20 @@ that half-side around the disc therefore gives the full-frame image.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .container import InFile, json_int, read, write
+from .container import InFile, OpenFile, json_int, read, write
 from .jsonconfig import check_finite, from_json_dict, to_json
 from .lirr import DomainLabel
 
@@ -53,8 +57,8 @@ from .lirr import DomainLabel
 _SS = 4
 _MIN_AREA = 4.0
 _MAX_RETRIES = 10
-# pixels rendered at once: 4 images at 64 px. The process keeps the memory of set-up's
-# peak into training, so a chunk's float64 planes are held to 128 KB each.
+# pixels rendered at once: 4 images at 64 px. The process keeps the heap that set-up
+# frees into training, so a chunk's float64 planes are held to 128 KB each.
 _CHUNK_PX = 4 * 64 * 64
 
 
@@ -129,7 +133,8 @@ class SceneSpec:
 
 
 class _Row(NamedTuple):
-    """Image `index` of a loaded split: a row of the split file's 'images' block."""
+    """Image `index` of a loaded or rendered split: a row of the 'images' block of a
+    split file, or of a split's spill file."""
     block: InFile
     shape: tuple
     index: int
@@ -141,8 +146,8 @@ class _Row(NamedTuple):
 
 
 class _Image:
-    """`Sample.image`: the array it was given, or for a loaded sample a read-only
-    array read from the split's file with one pread on each access."""
+    """`Sample.image`: the array it was given, or for a loaded or rendered sample a
+    read-only array read from its file with one pread on each access."""
 
     def __get__(self, sample, owner=None):
         if sample is None:
@@ -453,23 +458,61 @@ class BenchmarkSplits:
 
 
 def make_benchmark(config: BenchmarkConfig = BenchmarkConfig()) -> BenchmarkSplits:
-    """Render all splits, each into one (count, 1, H, W) float32 array whose rows
-    are the samples' images. The small target split is a prefix of the full one."""
-    def run(params, domain, start, count):
-        images = np.empty((count, 1, config.scene.size, config.scene.size), np.float32)
-        step = max(_CHUNK_PX // config.scene.size**2, 1)
-        return [sample for i in range(0, count, step)
-                for sample in _render(config.scene, params, start + i, images[i:i + step], domain)[0]]
+    """Render all splits. Each split is rendered a chunk at a time into one buffer and
+    spilled to its own unnamed temporary file (`tempfile.TemporaryFile`, in the temp dir),
+    and each sample's image is its row of that file, read on use as in a loaded split.
+    The small target split is a prefix of the full one.
 
-    source_train = run(config.source, DomainLabel.SOURCE, config.source_start, config.source_count)
-    target_full = run(config.target, DomainLabel.TARGET, config.target_train_start, config.target_train_full)
-    target_test = run(config.target, DomainLabel.TARGET, config.target_test_start, config.target_test_count)
-    return BenchmarkSplits(
-        source_train=source_train,
-        target_train_small=target_full[:config.target_train_small],
-        target_train_full=target_full,
-        target_test=target_test,
-    )
+    Before any pixel is rendered, each split's sample list is allocated, so a count too
+    large for memory raises MemoryError, and the temp dir must have room for every
+    split's pixels, or OSError(ENOSPC) is raised."""
+    plan = {"source_train": (config.source, DomainLabel.SOURCE, config.source_start, config.source_count),
+            "target_train_full": (config.target, DomainLabel.TARGET, config.target_train_start,
+                                  config.target_train_full),
+            "target_test": (config.target, DomainLabel.TARGET, config.target_test_start,
+                            config.target_test_count)}
+    splits, need, tmpdir = {}, 0, tempfile.gettempdir()
+    for name, (*_, count) in plan.items():
+        try:
+            splits[name] = [None] * count
+        except MemoryError as e:
+            raise MemoryError(f"split {name} of {count} samples") from e
+        need += 4 * count * config.scene.size**2
+        if shutil.disk_usage(tmpdir).free < need:
+            raise OSError(errno.ENOSPC, f"split {name} brings the rendered pixels to {need} bytes, "
+                                        "more than is free in", tmpdir)
+    files = []
+    try:
+        for name, (params, domain, start, _) in plan.items():
+            files.append(_spill(name, config.scene, params, domain, start, splits[name]))
+    except BaseException:
+        for file in files:
+            file.close()
+        raise
+    full = splits["target_train_full"]
+    return BenchmarkSplits(source_train=splits["source_train"],
+                           target_train_small=full[:config.target_train_small],
+                           target_train_full=full, target_test=splits["target_test"])
+
+
+def _spill(name: str, spec: SceneSpec, params: DomainParams, domain: DomainLabel, start: int,
+           samples: list) -> OpenFile:
+    """Render scenes start, start + 1, ... into `samples`, one per slot, through one
+    chunk-sized buffer whose bytes are appended to an unnamed temporary file; each
+    sample's image becomes its row of that file, which is returned."""
+    shape = (1, spec.size, spec.size)
+    buf = np.empty((max(_CHUNK_PX // spec.size**2, 1), *shape), "<f4")
+    with tempfile.TemporaryFile() as f:
+        for i in range(0, len(samples), len(buf)):
+            images = buf[:len(samples) - i]
+            samples[i:i + len(images)] = _render(spec, params, start + i, images, domain)[0]
+            f.write(images)
+        f.flush()
+        file = OpenFile(f"the spill file of split {name}", DatasetError, fd=os.dup(f.fileno()))
+    block = InFile(file, 0, 4 * len(samples) * math.prod(shape))
+    for i, sample in enumerate(samples):
+        sample.image = _Row(block, shape, i)
+    return file
 
 
 @dataclass
@@ -479,12 +522,19 @@ class Dataset:
 
 
 def save_dataset(samples, path, config: dict | None = None) -> None:
+    """Write `samples` to `path`. The images are streamed to the file twice, to size and
+    then to write them, so a split whose images are read on use is never held whole."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot save an empty dataset")
-    shapes = {s.image.shape for s in samples}
-    if len(shapes) > 1:
-        raise ValueError(f"inconsistent image shapes: {sorted(shapes)}")
+    shape = samples[0].image.shape
+
+    def images():
+        for s in samples:
+            image = s.image
+            if image.shape != shape:
+                raise ValueError(f"inconsistent image shapes: {shape} and {image.shape}")
+            yield np.ascontiguousarray(image, dtype="<f4")
 
     annotations = "".join(json.dumps({
         "image_id": int(s.image_id),
@@ -492,9 +542,8 @@ def save_dataset(samples, path, config: dict | None = None) -> None:
         "boxes": np.asarray(s.gt_boxes, dtype=np.float64).tolist(),
         "classes": np.asarray(s.gt_classes, dtype=np.int64).tolist(),
     }) + "\n" for s in samples)
-    header = {"count": len(samples), "image_shape": list(samples[0].image.shape), "config": config or {}}
-    write(path, header, {"images": [np.ascontiguousarray(s.image, dtype="<f4") for s in samples],
-                         "annotations": annotations.encode()})
+    header = {"count": len(samples), "image_shape": list(shape), "config": config or {}}
+    write(path, header, {"images": images, "annotations": annotations.encode()})
 
 
 def load_dataset(path) -> Dataset:

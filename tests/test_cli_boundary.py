@@ -23,8 +23,10 @@ import math
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,7 +36,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lirrdet
-from lirrdet import cli, container, pipeline
+from lirrdet import cli, container, pipeline, synthgen
 from lirrdet.lirr import DomainLabel
 from lirrdet.pipeline import ExperimentConfig, RunReport
 from lirrdet.synthgen import (BenchmarkConfig, BenchmarkSplits, Sample, SceneSpec, load_dataset,
@@ -340,6 +342,17 @@ def test_gen_too_large_for_memory_is_one_error_line(tmp_path):
                                 "target_train_start": 0, "target_test_start": 1000}))
     code, err = _run_capped(["gen", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1 and err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+
+
+def test_gen_without_room_for_the_pixels_is_one_error_line(tmp_path, monkeypatch):
+    # the default benchmark spills 2,300 images of 16 KB to the temp dir; 1 MB is free
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(total=10**9, used=10**9 - 10**6,
+                                                                           free=10**6))
+    monkeypatch.setattr(synthgen, "_render", lambda *args: pytest.fail("rendered a chunk"))
+    assert _run(["gen", "--out", str(tmp_path / "out")]) == (
+        1, f"error: [Errno 28] split source_train brings the rendered pixels to 32768000 bytes, "
+           f"more than is free in: {tempfile.gettempdir()!r}\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_train_too_many_steps_for_memory_is_one_error_line(splits_dir, tmp_path):

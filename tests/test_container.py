@@ -2,6 +2,7 @@
 public loaders, bit-exact round trips, and atomic replacement of output files."""
 
 import json
+import re
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -201,8 +202,9 @@ def test_list_block_is_its_parts_joined(tmp_path_factory, parts):
     joined = b"".join(memoryview(p).tobytes() for p in parts)
     container.write(d / "list.bin", {"k": 1}, {"a": parts, "b": b"tail"})
     container.write(d / "one.bin", {"k": 1}, {"a": joined, "b": b"tail"})
+    container.write(d / "yielded.bin", {"k": 1}, {"a": lambda: iter(parts), "b": b"tail"})
     raw = (d / "list.bin").read_bytes()
-    assert raw == (d / "one.bin").read_bytes()
+    assert raw == (d / "one.bin").read_bytes() == (d / "yielded.bin").read_bytes()
     assert json.loads(raw[:raw.index(b"\n")])["blocks"][0] == ["a", len(joined), zlib.crc32(joined)]
     header, blocks = container.read(d / "list.bin", ValueError)
     assert header == {"k": 1} and bytes(blocks["a"]) == joined and bytes(blocks["b"]) == b"tail"
@@ -211,10 +213,21 @@ def test_list_block_is_its_parts_joined(tmp_path_factory, parts):
 @pytest.mark.parametrize("part", [np.arange(12.0).reshape(3, 4)[:, ::2], np.asfortranarray(np.ones((2, 3))),
                                   memoryview(b"abcdef")[::2]], ids=["strided", "fortran", "memoryview"])
 def test_non_contiguous_part_raises_before_any_file(tmp_path, part):
-    for block in ([b"ok", part], part):
+    for block in ([b"ok", part], part, lambda: iter([b"ok", part])):
         with pytest.raises(BufferError):
             container.write(tmp_path / "x.bin", {}, {"a": b"first", "b": block})
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("second", [b"other", b"longer"], ids=["same-size", "other-size"])
+def test_a_callable_block_that_changes_between_passes_raises(tmp_path, second):
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"old contents\n")
+    passes = iter([[b"first"], [second]])
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: a block gave other bytes on its second pass"):
+        container.write(path, {}, {"a": b"head", "b": lambda: next(passes)})
+    assert path.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class _Boom(Exception):

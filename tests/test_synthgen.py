@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import re
+import tempfile
 import tracemalloc
 import warnings
 
@@ -14,7 +16,7 @@ import pytest
 import _render_ref
 from _box_ref import iou
 from _containerfile import edit_container
-from lirrdet import container
+from lirrdet import container, synthgen
 from lirrdet.lirr import DomainLabel
 from lirrdet.synthgen import (
     Background,
@@ -28,6 +30,7 @@ from lirrdet.synthgen import (
     SOURCE_DOMAIN,
     TARGET_DOMAIN,
     _CHUNK_PX,
+    _Row,
     _coverage_map,
     load_dataset,
     make_benchmark,
@@ -339,19 +342,62 @@ class TestMakeBenchmark:
         assert all(s.domain is DomainLabel.TARGET for s in splits.target_train_full)
         assert all(s.domain is DomainLabel.TARGET for s in splits.target_test)
 
-    def test_each_split_is_one_float32_buffer(self):
+    def test_each_split_is_rows_of_one_spill_file(self):
         cfg = BenchmarkConfig(source_count=6, target_train_small=2,
                               target_train_full=3, target_test_count=4)
         splits = make_benchmark(cfg)
+        files = set()
         for split, params in ((splits.source_train, cfg.source), (splits.target_train_full, cfg.target),
                               (splits.target_test, cfg.target)):
-            buf = split[0].image.base
-            assert buf.flags.c_contiguous and buf.dtype == np.float32 and buf.shape == (len(split), 1, 64, 64)
+            block = vars(split[0])["image"].block
+            assert block.offset == 0 and block.nbytes == len(split) * 4 * 64 * 64
+            assert [vars(s)["image"] for s in split] == [_Row(block, (1, 64, 64), i) for i in range(len(split))]
+            files.add(block.file)
             for s in split:
-                assert s.image.base is buf and np.shares_memory(s.image, buf)
+                assert s.image.dtype == np.float32 and not s.image.flags.writeable
                 assert s.image.tobytes() == render_scene(cfg.scene, params, s.image_id, s.domain).image.tobytes()
-        full = splits.target_train_full
-        assert all(s.image.base is full[0].image.base for s in splits.target_train_small)
+        assert len(files) == 3
+        small, full = splits.target_train_small, splits.target_train_full
+        assert len(small) == 2 and all(a is b for a, b in zip(small, full))
+
+    def test_rendering_and_saving_hold_no_split(self, tmp_path):
+        cfg = BenchmarkConfig(source_count=300, target_train_small=1, target_train_full=1, target_test_count=1)
+        for params in (cfg.source, cfg.target):  # fill the per-size and per-domain caches first
+            render_scene(cfg.scene, params, 0)
+        tracemalloc.start()
+        try:
+            splits = make_benchmark(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_dataset(splits.source_train, tmp_path / "spilled.bin")
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        nbytes = 302 * 4 * 64 * 64
+        assert held < 0.1 * nbytes, held
+        assert peak < 0.1 * nbytes, peak
+        copies = [dataclasses.replace(s, image=s.image.copy()) for s in splits.source_train]
+        save_dataset(copies, tmp_path / "in_memory.bin")
+        assert (tmp_path / "spilled.bin").read_bytes() == (tmp_path / "in_memory.bin").read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+    def test_a_render_error_leaves_no_file_open_or_behind(self, tmp_path, monkeypatch):
+        render, calls = synthgen._render, []
+
+        def failing(*args):  # the third chunk: the second of the full target split
+            calls.append(args[2])
+            if len(calls) == 3:
+                raise RenderError("no polygon")
+            return render(*args)
+        monkeypatch.setattr(synthgen, "_render", failing)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(RenderError, match="no polygon") as caught:
+            make_benchmark(BenchmarkConfig(source_count=4, target_train_small=1, target_train_full=8))
+        assert calls == [0, 10000, 10004]
+        # counted while the traceback, and so the finished source split, is still held
+        assert caught.tb is not None and len(os.listdir("/proc/self/fd")) == before
+        assert list(tmp_path.iterdir()) == []
 
     def test_brightness_gap(self):
         cfg = BenchmarkConfig(source_count=60, target_train_small=10,
@@ -503,7 +549,8 @@ class TestSaveLoad:
         samples, cfg = self.make_small_dataset()
         path = tmp_path / "data.bin"
         save_dataset(samples, path, config=cfg.to_dict())
-        header = json.loads(open(path, "rb").readline())
+        with open(path, "rb") as f:
+            header = json.loads(f.readline())
         assert header["count"] == len(samples)
         assert tuple(header["image_shape"]) == samples[0].image.shape
         assert header["config"]["scene"]["size"] == cfg.scene.size
