@@ -11,7 +11,7 @@ it holds that input's producing entry (a tracked intermediate), the leaf
 tensor (one that requires grad) or nothing (an untracked input); it holds
 its output by weak reference; and its backward rule captures the buffers
 the rule reads, not its inputs: ``conv2d`` its im2col columns, ``relu`` a
-bool mask, ``+`` and ``*`` by a scalar nothing. An intermediate tensor is
+bool mask, ``+`` and ``*`` nothing. An intermediate tensor is
 therefore freed as soon as its caller drops it, before ``backward``; one
 the caller keeps is still tracked until the sweep passes its entry.
 
@@ -23,21 +23,18 @@ graph are no longer tracked, so a second ``backward`` from the same loss
 raises ``TapeError``.
 
 A training step records ``conv2d`` and ``grad_reverse`` (``functional.py``),
-``relu``, tensor ``+`` tensor, tensor ``*`` scalar, ``anchor_order``
-(``detector/model.py``), ``_risk_sum`` and ``rep_loss`` (``lirr.py``).
-``-``, tensor ``+`` scalar, tensor ``*`` tensor and ``reshape`` stay for
-the tests' references; acceptance criterion 1 checks each. ``+``, ``-``
-and ``*`` take two same-shape tensors, or a tensor and then a Python
-scalar; a scalar on the left is a ``TypeError``, anything else raises
-``ShapeError``.
+``relu``, ``+``, ``*``, ``anchor_order`` (``detector/model.py``),
+``_risk_sum`` and ``rep_loss`` (``lirr.py``); ``src/`` records no other op.
+``+`` takes two same-shape tensors (else ``ShapeError``) and ``*`` a tensor
+and then a real scalar; any other operand, and ``-``, is a ``TypeError``.
 
-Precision is a per-thread mode (float32 by default, float64 for
-verification); see ``precision``. Grad mode and the tape are per thread as
-well.
+Precision (float32 by default, float64 for verification; see ``precision``),
+grad mode and the tape are per thread.
 """
 
 from __future__ import annotations
 
+import numbers
 import threading
 import weakref
 from contextlib import contextmanager
@@ -143,25 +140,21 @@ class Tensor:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        return _binary(self, other, lambda a, b: a + b, lambda a, b: lambda g: (g, g), "add")
-
-    def __sub__(self, other):
-        return _binary(self, other, lambda a, b: a - b, lambda a, b: lambda g: (g, -g), "sub")
+        if not isinstance(other, Tensor):
+            raise TypeError(f"Tensor + {type(other).__name__}: + takes two tensors")
+        if self.data.shape != other.data.shape:
+            raise ShapeError(f"Tensor + Tensor: shapes {self.data.shape} and {other.data.shape} differ")
+        return _op(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __mul__(self, other):
-        return _binary(self, other, lambda a, b: a * b, _mul_rule, "mul")
+        if not isinstance(other, numbers.Real):
+            raise TypeError(f"Tensor * {type(other).__name__}: * takes a tensor and a real scalar")
+        s = float(other)
+        return _op(self.data * s, (self,), lambda g: (g * s,))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0 if _records((self,)) else None
         return _op(np.maximum(self.data, 0.0), (self,), lambda g: (g * mask,))
-
-    # -- shape manipulation ---------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        src_shape = self.data.shape
-        return _op(self.data.reshape(shape), (self,), lambda g: (g.reshape(src_shape),))
 
 
 def _records(inputs) -> bool:
@@ -188,26 +181,6 @@ def _op(data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
         out._tape = _state.tape
         out._tape.append(out._entry)
     return out
-
-
-def _binary(a: Tensor, b, fwd, rule, name: str) -> Tensor:
-    """Elementwise op of a tensor and a same-shape tensor or a Python scalar.
-    `rule(x, y)` makes the backward rule from the operands' data, or from
-    `(None, scalar)` for a scalar operand; the rule keeps only what it reads."""
-    if isinstance(b, Tensor):
-        if a.data.shape != b.data.shape:
-            raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} differ "
-                             "(an operand is a same-shape tensor or a Python scalar)")
-        return _op(fwd(a.data, b.data), (a, b), rule(a.data, b.data))
-    s = float(b)
-    return _op(fwd(a.data, s), (a,), rule(None, s))
-
-
-def _mul_rule(x, y):
-    """tensor * tensor reads both operands; tensor * scalar (x is None) only the scalar."""
-    if x is None:
-        return lambda g: (g * y,)
-    return lambda g: (g * y, g * x)
 
 
 def backward(loss: Tensor) -> None:

@@ -47,11 +47,10 @@ def _load_experiment_config(path: str) -> ExperimentConfig:
         raise FileNotFoundError(f"config not found: {path}")
     d = read_json(p, "config")
     if isinstance(d, dict) and "config" in d and "eval_series" in d:
-        # a run report; use its embedded echo, minus the retired no-op
-        # "deterministic" key that older reports carry
+        # a run report; use its embedded echo
         if not isinstance(d["config"], dict):
             raise ValueError(f"{path}: run report key config must be a JSON object, got {d['config']!r}")
-        d = {k: v for k, v in d["config"].items() if k != "deterministic"}
+        d = d["config"]
     return ExperimentConfig.from_dict(d)
 
 

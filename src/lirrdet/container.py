@@ -5,9 +5,9 @@ holds ``version``, the caller's keys, a ``blocks`` table of
 ``[name, nbytes, crc32]`` entries in file order, and last ``header_crc32``,
 the CRC-32 of the header's JSON without that key. A header line is accepted
 only if it is byte for byte the one `write` makes from its parsed content,
-so any change to its bytes is caught. `write` also takes a block as a list of
-parts, or as a callable that yields them, written back to back; its
-``nbytes`` and ``crc32`` cover them joined. `read` streams the file through
+so any change to its bytes is caught. `write` also takes a block as a
+callable that yields its parts, written back to back; its ``nbytes`` and
+``crc32`` cover them joined. `read` streams the file through
 one fixed buffer, and can leave named blocks in the file, to be read on use
 from the descriptor it keeps open. An `OpenFile` can also take over a
 descriptor its caller wrote, such as an unnamed temporary file.
@@ -59,7 +59,7 @@ def _table(blocks: dict, f=None) -> list:
     raises BufferError."""
     table = []
     for name, block in blocks.items():
-        parts = block() if callable(block) else block if isinstance(block, list) else [block]
+        parts = block() if callable(block) else [block]
         nbytes, crc = 0, 0
         for v in map(memoryview, parts):
             nbytes, crc = nbytes + v.nbytes, zlib.crc32(v, crc)
@@ -71,7 +71,7 @@ def _table(blocks: dict, f=None) -> list:
 
 def write(path, header: dict, blocks: dict) -> None:
     """Write `header` and the named `blocks` to `path`, atomically. A block is a C-contiguous
-    bytes-like object, a list of them, or a zero-argument callable that yields them.
+    bytes-like object or a zero-argument callable that yields them.
 
     A first pass sizes each block and chains its CRC, so any other part raises
     before a file is made; a second pass writes the parts and sizes them again.

@@ -11,17 +11,18 @@ from ..container import atomic_open
 from .boxes import Detection, decode_boxes, nms
 
 NMS_THR = 0.5
+SCORE_THR = 0.05
 MAX_DETS = 100  # detections kept per image, here and in coco_eval
 
 
-def forward_detect(model, image, score_thr: float = 0.05) -> list:
+def forward_detect(model, image) -> list:
     """Run the always-on head over one image and return kept detections.
 
-    Softmax per anchor, background dropped, score threshold, decode with
-    clamping to the image, then class-aware greedy NMS that stops at its
-    MAX_DETS-th kept box. Those are the MAX_DETS highest-scoring boxes the
-    uncapped NMS keeps; candidates after the last keep are never scored, and
-    Detection tuples are built only for the kept boxes.
+    Softmax per anchor, background and scores under SCORE_THR dropped,
+    decode with clamping to the image, then class-aware greedy NMS that
+    stops at its MAX_DETS-th kept box. Those are the MAX_DETS highest-scoring
+    boxes the uncapped NMS keeps; candidates after the last keep are never
+    scored, and Detection tuples are built only for the kept boxes.
     """
     x = np.asarray(image, dtype=default_dtype())
     if x.ndim == 3:
@@ -43,7 +44,7 @@ def forward_detect(model, image, score_thr: float = 0.05) -> list:
     boxes = decode_boxes(loc.data[0], model.anchors, image_size=spec.image_size)
 
     # class-major, anchor-ascending: the order nms breaks score ties by
-    k, a = np.nonzero(probs[:, 1:].T >= score_thr)
+    k, a = np.nonzero(probs[:, 1:].T >= SCORE_THR)
     k += 1
     kept = nms(boxes[a], probs[a, k], k, NMS_THR, MAX_DETS)
     a, k = a[kept], k[kept]

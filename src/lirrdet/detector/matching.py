@@ -2,12 +2,12 @@
 
 Rule, applied in order:
   1. each GT's highest-IoU anchor is positive for it (force match),
-  2. remaining anchors with IoU >= pos_thr become positive for their
+  2. remaining anchors with IoU >= POS_THR become positive for their
      argmax GT,
-  3. anchors with max IoU < neg_thr are negative,
+  3. anchors with max IoU < NEG_THR are negative,
   4. everything else is ignored.
 Ties break toward the lowest anchor index, then the lowest GT index.
-A force-matched anchor stays positive even below neg_thr.
+A force-matched anchor stays positive even below NEG_THR.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .boxes import encode_boxes, iou_matrix
 
 NEGATIVE = -1
 IGNORE = -2
+POS_THR = 0.5
+NEG_THR = 0.4
 
 
 @dataclass
@@ -30,10 +32,7 @@ class MatchResult:
     num_positive: int
 
 
-def match_anchors(gt_boxes, gt_classes, anchors: np.ndarray,
-                  pos_thr: float = 0.5, neg_thr: float = 0.4) -> MatchResult:
-    if pos_thr < neg_thr:
-        raise ValueError(f"match_anchors: pos_thr {pos_thr} < neg_thr {neg_thr}")
+def match_anchors(gt_boxes, gt_classes, anchors: np.ndarray) -> MatchResult:
     num_anchors = len(anchors)
     if num_anchors == 0:
         raise ValueError("match_anchors: empty anchor set")
@@ -49,7 +48,7 @@ def match_anchors(gt_boxes, gt_classes, anchors: np.ndarray,
     ious = iou_matrix(anchors, gt_boxes)  # (A, G)
     best_gt = np.argmax(ious, axis=1)
     best_iou = ious[np.arange(num_anchors), best_gt]
-    gt_index = np.where(best_iou >= pos_thr, best_gt, np.where(best_iou < neg_thr, NEGATIVE, IGNORE))
+    gt_index = np.where(best_iou >= POS_THR, best_gt, np.where(best_iou < NEG_THR, NEGATIVE, IGNORE))
 
     forced = np.full(num_anchors, False)
     for g in range(gt_boxes.shape[0]):

@@ -28,8 +28,7 @@ from pathlib import Path
 
 
 # scalar field default -> the JSON values that fit it, and their name
-_SCALARS = ((bool, bool, "a boolean"), (str, str, "a string"),
-            (float, (int, float), "a number"), (int, int, "an integer"))
+_SCALARS = ((str, str, "a string"), (float, (int, float), "a number"), (int, int, "an integer"))
 
 
 def read_json(path, what: str):
@@ -90,7 +89,7 @@ def _from_json(value, default, key: str):
         return tuple(_from_json(v, default[0], f"{key}[{i}]") for i, v in enumerate(value))
     for kind, fits, name in _SCALARS:
         if isinstance(default, kind):
-            if not isinstance(value, fits) or isinstance(value, bool) != (kind is bool):
+            if not isinstance(value, fits) or isinstance(value, bool):
                 raise ValueError(f"config key {key} must be {name}, got {value!r}")
             if kind is float and not is_finite(value):
                 raise ValueError(f"config key {key} must be a finite number, got {value!r}")

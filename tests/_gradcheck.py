@@ -2,23 +2,37 @@
 
 The oracle never touches the tape: it re-evaluates the forward function on
 perturbed raw arrays, so it stays independent of the code path it checks.
-``dot`` reduces a tensor to the scalar a gradient check differentiates.
+``dot`` and ``sum_of_squares`` reduce a tensor to the scalar a gradient
+check differentiates.
+``reshape`` is the tracked reshape that ``dot`` and the references in
+``_risk_ref.py`` and ``_head_ref.py`` use; no training step records one.
 """
 
 import numpy as np
 
-from lirrdet.autodiff import Tensor
+from lirrdet.autodiff.tensor import Tensor, _op
 
 from _rep_ref import matmul
 
 H = 1e-5
 
 
+def reshape(t, *shape):
+    """t's data in `shape` (numpy's forms), as a tracked op."""
+    src_shape = t.data.shape
+    return _op(t.data.reshape(*shape), (t,), lambda g: (g.reshape(src_shape),))
+
+
 def dot(t, p=None):
     """The tracked scalar <t, p>: one matmul of t, flattened, with a fixed
     array p of t's shape (all ones, which sums t, when p is None)."""
     p = np.ones(t.data.shape) if p is None else np.asarray(p)
-    return matmul(t.reshape(1, -1), Tensor(p.reshape(-1, 1))).reshape(())
+    return reshape(matmul(reshape(t, 1, -1), Tensor(p.reshape(-1, 1))), ())
+
+
+def sum_of_squares(t):
+    """The tracked scalar <t, t>: one matmul of t, flattened, with itself."""
+    return reshape(matmul(reshape(t, 1, -1), reshape(t, -1, 1)), ())
 
 
 def finite_diff_grads(fn, arrays, h=H):

@@ -17,6 +17,7 @@ import numpy as np
 
 from lirrdet.autodiff.tensor import ShapeError, Tensor, _op
 
+from _gradcheck import reshape
 from _layout_ref import swap_nc
 
 
@@ -46,8 +47,8 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 def flatten_head(out: Tensor, per_cell: int, width: int) -> Tensor:
     # (N, A*W, H, Wd) -> (N, H*Wd*A, W) matching anchor order within a level
     n, _, h, w = out.data.shape
-    return transpose(out.reshape(n, per_cell, width, h, w), 0, 3, 4, 1, 2) \
-        .reshape(n, h * w * per_cell, width)
+    return reshape(transpose(reshape(out, n, per_cell, width, h, w), 0, 3, 4, 1, 2),
+                   n, h * w * per_cell, width)
 
 
 def head_set_call(head_set, feats, cols=None):

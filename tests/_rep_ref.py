@@ -6,7 +6,8 @@ that applied its parameters with them, `classify` is the old
 `DomainClassifier.__call__`, and `rep_loss` is the alignment term as
 those ops built it: pool, reverse, classify, then one cross entropy per
 domain, summed. `lirrdet.lirr.rep_loss` must match it bit for bit, sign
-bits included. The tests also use `matmul` as their scalar reduction.
+bits included. The tests' scalar reduction, `_gradcheck.dot`, is a
+`matmul` between two of `_gradcheck.reshape`.
 """
 
 import numpy as np

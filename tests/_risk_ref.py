@@ -19,6 +19,8 @@ from lirrdet.autodiff.tensor import ShapeError, Tensor, _op
 from lirrdet.detector.loss import NEG_RATIO, _background_ce
 from lirrdet.detector.matching import NEGATIVE
 
+from _gradcheck import reshape
+
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Sum over the N rows of (N, K) logits of -log softmax[label], max-stabilized."""
@@ -96,8 +98,8 @@ def sample_loss(cls: Tensor, loc: Tensor, b: int, match):
     """Sample b's normalized loss on (B, A, K) and (B, A, 4) head outputs, as
     the loop below builds it: (loss Tensor, cls float, loc float)."""
     num_anchors = cls.data.shape[1]
-    flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
-    flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
+    flat_cls = reshape(cls, cls.data.shape[0] * num_anchors, cls.data.shape[2])
+    flat_loc = reshape(loc, loc.data.shape[0] * num_anchors, 4)
     rows = slice(b * num_anchors, (b + 1) * num_anchors)
     ct, lt, npos = detection_loss_terms(gather_rows(flat_cls, rows), gather_rows(flat_loc, rows), match)
     norm = 1.0 / max(npos, 1)
@@ -108,8 +110,8 @@ def risk_sum(cls: Tensor, loc: Tensor, matches):
     """`lirrdet.lirr._risk_sum` as it was, on one head's (B, A, K) and (B, A, 4)
     outputs: (sum Tensor, cls float, loc float)."""
     num_anchors = cls.data.shape[1]
-    flat_cls = cls.reshape(cls.data.shape[0] * num_anchors, cls.data.shape[2])
-    flat_loc = loc.reshape(loc.data.shape[0] * num_anchors, 4)
+    flat_cls = reshape(cls, cls.data.shape[0] * num_anchors, cls.data.shape[2])
+    flat_loc = reshape(loc, loc.data.shape[0] * num_anchors, 4)
     total = None
     cls_val = 0.0
     loc_val = 0.0

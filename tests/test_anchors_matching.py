@@ -119,8 +119,8 @@ class TestMatchAnchors:
         grid = np.array([[0, 0, 10, 10], [0, 0, 10, 5], [0, 0, 10, 4], [0, 0, 10, 3.9],
                          [45, 45, 55, 55]], dtype=np.float64)
         gts = np.array([[0, 0, 10, 10], [40, 40, 50, 50]], dtype=np.float64)
-        m = match_anchors(gts, [1, 2], grid, pos_thr=0.5, neg_thr=0.4)
-        # anchor 4 is GT 1's best at IoU 25/175 < neg_thr and stays positive
+        m = match_anchors(gts, [1, 2], grid)
+        # anchor 4 is GT 1's best at IoU 25/175 < NEG_THR and stays positive
         np.testing.assert_array_equal(m.gt_index, [0, 0, IGNORE, NEGATIVE, 1])
         np.testing.assert_array_equal(m.class_targets, [1, 1, -1, 0, 2])
         assert m.num_positive == 3
@@ -128,10 +128,6 @@ class TestMatchAnchors:
     def test_empty_anchor_set_rejected(self):
         with pytest.raises(ValueError):
             match_anchors(np.array([[0, 0, 8, 8.0]]), [1], _loose_grid()[:0])
-
-    def test_threshold_order_validated(self):
-        with pytest.raises(ValueError):
-            match_anchors(np.zeros((0, 4)), [], _loose_grid(), pos_thr=0.3, neg_thr=0.4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -142,7 +138,7 @@ class TestMatchAnchors:
         num_g = int(rng.integers(1, 11))
         gts = random_boxes(rng, num_g, size=32, min_side=3)
         classes = rng.integers(1, 3, size=num_g)
-        m = match_anchors(gts, classes, grid, pos_thr=0.5, neg_thr=0.4)
+        m = match_anchors(gts, classes, grid)
         want = brute_force_match(gts, grid, 0.5, 0.4)
         np.testing.assert_array_equal(m.gt_index, want)
         # encoded targets rebuilt independently for each positive
@@ -166,7 +162,7 @@ class TestMatchAnchors:
         rng = np.random.default_rng(310)
         grid = _loose_grid()
         gts = random_boxes(rng, 6, size=64, min_side=5)
-        m = match_anchors(gts, np.ones(6, dtype=int), grid, pos_thr=0.5, neg_thr=0.4)
+        m = match_anchors(gts, np.ones(6, dtype=int), grid)
         for a in np.flatnonzero(m.gt_index >= 0):
             g = m.gt_index[a]
             ok = iou(grid[a], gts[g]) >= 0.5

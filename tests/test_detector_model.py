@@ -24,9 +24,10 @@ from lirrdet.detector.loss import detection_loss_terms
 from lirrdet.detector.model import anchor_order
 from lirrdet.lirr import _risk_sum
 from lirrdet.detector.boxes import Detection, decode_boxes
-from lirrdet.detector.inference import MAX_DETS, NMS_THR
+from lirrdet.detector.inference import MAX_DETS, NMS_THR, SCORE_THR
 
 from _box_ref import iou, positive_mask
+from _gradcheck import reshape
 from _head_ref import concat, flatten_head
 from _risk_ref import full_sort_loss_terms
 from test_boxes import brute_nms
@@ -47,7 +48,7 @@ def detection_loss(cls_logits, box_offsets, match):
     """One image's loss over (A, K) logits and (A, 4) offsets, as the
     training objective normalizes it."""
     a, k = cls_logits.data.shape
-    return _risk_sum(cls_logits.reshape(1, a, k), box_offsets.reshape(1, a, 4), [match])[0]
+    return _risk_sum(reshape(cls_logits, 1, a, k), reshape(box_offsets, 1, a, 4), [match])[0]
 
 
 class TestModelWiring:
@@ -326,7 +327,7 @@ class TestDetectionLoss:
         assert np.array_equal(to.grad, np.zeros_like(offsets))
 
 
-def reference_detect(model, image, score_thr=0.05):
+def reference_detect(model, image):
     """forward_detect's candidates, through an uncapped brute-force NMS."""
     with no_grad():
         x = Tensor(np.asarray(image, dtype=default_dtype())[None])
@@ -338,7 +339,7 @@ def reference_detect(model, image, score_thr=0.05):
     boxes = decode_boxes(loc.data[0], model.anchors, image_size=model.spec.image_size)
     dets = [Detection(tuple(boxes[a].tolist()), c, float(probs[a, c]))
             for c in range(1, probs.shape[1]) for a in range(len(boxes))
-            if probs[a, c] >= score_thr]
+            if probs[a, c] >= SCORE_THR]
     return [dets[i] for i in brute_nms(dets, NMS_THR)]
 
 
@@ -383,10 +384,16 @@ class TestForwardDetect:
             assert forward_detect(m, img) == kept[:MAX_DETS]
         assert longest > MAX_DETS, "the cap never bound"
 
-    def test_high_threshold_gives_empty(self):
+    def test_model_sure_of_background_gives_empty(self):
+        # each class logit is its conv's bias, and background's leads by 10:
+        # every foreground score is about 5e-5, below SCORE_THR
         m = small_model(5)
+        for head in m.invariant_head.heads:
+            head.cls.weight.data[...] = 0.0
+            head.cls.bias.data[...] = 0.0
+            head.cls.bias.data[::m.spec.num_logits] = 10.0
         img = np.zeros((1, 32, 32), dtype=np.float32)
-        assert forward_detect(m, img, score_thr=1.1) == []
+        assert forward_detect(m, img) == []
 
     def test_overfit_single_image_recovers_box(self):
         m = small_model(6)
@@ -401,8 +408,8 @@ class TestForwardDetect:
         for _ in range(300):
             m.zero_grad()
             cls, loc = m.predict(m.features(x), "invariant")
-            loss = detection_loss(cls.reshape(len(m.anchors), 2),
-                                  loc.reshape(len(m.anchors), 4), match)
+            loss = detection_loss(reshape(cls, len(m.anchors), 2),
+                                  reshape(loc, len(m.anchors), 4), match)
             backward(loss)
             opt.step()
         assert float(loss.data) < 1e-3  # saturated-perfect limit

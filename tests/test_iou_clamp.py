@@ -68,10 +68,10 @@ def _match_inputs():
 @pytest.mark.parametrize("case", range(10))
 def test_match_result_bytes_unchanged(case, monkeypatch):
     grid, gts, classes = list(_match_inputs())[case]
-    got = match_anchors(gts, classes, grid, pos_thr=0.5, neg_thr=0.4)
+    got = match_anchors(gts, classes, grid)
     assert got.gt_index.tobytes() == brute_force_match(gts, grid, 0.5, 0.4).tobytes()
     monkeypatch.setattr(matching, "iou_matrix", clip_iou_matrix)
-    was = match_anchors(gts, classes, grid, pos_thr=0.5, neg_thr=0.4)
+    was = match_anchors(gts, classes, grid)
     for field in ("gt_index", "class_targets", "box_targets"):
         assert getattr(got, field).tobytes() == getattr(was, field).tobytes(), field
     assert got.num_positive == was.num_positive

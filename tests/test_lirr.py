@@ -38,7 +38,7 @@ from lirrdet.lirr import (
 )
 
 import _layout_ref
-from _gradcheck import dot
+from _gradcheck import dot, reshape
 from _head_ref import head_set_call
 from _layout_ref import swap_nc
 from _rep_ref import binary_cross_entropy_logit, classify, global_avg_pool, matmul
@@ -58,7 +58,7 @@ def domain_risk(batch, model, domain):
 def maps(features):
     """(N, C) features as the channel-major (C, N, 1, 1) maps rep_loss pools, exactly."""
     t = features if isinstance(features, Tensor) else Tensor(features)
-    return swap_nc(t.reshape(*t.data.shape, 1, 1))
+    return swap_nc(reshape(t, *t.data.shape, 1, 1))
 
 
 def lirr_loss(batch_src, batch_tgt, model, classifier, cfg):
@@ -233,8 +233,8 @@ class TestInvariantRisk:
             cls, loc = model.predict(feats, "invariant")
             n_anchors = cls.data.shape[1]
             match = match_anchors(s.gt_boxes, s.gt_classes, model.anchors)
-            want = detection_loss(cls.reshape(n_anchors, cls.data.shape[2]),
-                                  loc.reshape(n_anchors, 4), match)
+            want = detection_loss(reshape(cls, n_anchors, cls.data.shape[2]),
+                                  reshape(loc, n_anchors, 4), match)
         assert got == pytest.approx(float(want.data), rel=1e-12)
 
     def test_duplicate_sample_mean_invariant(self):
@@ -480,8 +480,8 @@ class TestReducedObjectiveIdentity:
                     feats = model.features(Tensor(imgs))
                     cls, loc = model.predict(feats, "invariant")
                     n_anchors = cls.data.shape[1]
-                    flat_c = cls.reshape(len(batch) * n_anchors, cls.data.shape[2])
-                    flat_l = loc.reshape(len(batch) * n_anchors, 4)
+                    flat_c = reshape(cls, len(batch) * n_anchors, cls.data.shape[2])
+                    flat_l = reshape(loc, len(batch) * n_anchors, 4)
                     part = None
                     for b, s in enumerate(batch):
                         rows = np.arange(b * n_anchors, (b + 1) * n_anchors)

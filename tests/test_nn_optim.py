@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _containerfile import edit_container
+from _gradcheck import sum_of_squares
 from _rep_ref import Linear
 from lirrdet.autodiff import (
     SGD,
@@ -60,7 +61,7 @@ class TestSGD:
         opt = SGD([p], lr=0.1, momentum=0.0)
         for _ in range(50):
             p.grad = None
-            loss = p * p
+            loss = sum_of_squares(p)
             backward(loss)
             opt.step()
         assert abs(p.data[0]) < 1e-3

@@ -467,14 +467,16 @@ class TestCli:
         report = json.loads((trained / "run" / "run_report.json").read_text())
         assert printed == report["final"]
 
-    def test_eval_accepts_report_with_retired_deterministic_key(self, trained, tmp_path, capsys):
-        # reports written while the no-op --deterministic flag existed echo it
+    def test_eval_rejects_report_with_retired_deterministic_key(self, trained, tmp_path, capsys):
+        # reports written while the no-op --deterministic flag existed echo it;
+        # their config no longer loads
         report = json.loads((trained / "run" / "run_report.json").read_text())
         report["config"]["deterministic"] = False
         old = tmp_path / "run_report.json"
         old.write_text(json.dumps(report))
-        assert main(["eval", "--config", str(old)]) == 0
-        assert json.loads(capsys.readouterr().out) == report["final"]
+        assert main(["eval", "--config", str(old)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown config keys: ['deterministic']\n"
 
     def test_eval_rejects_checkpoint_of_another_model(self, trained, tmp_path, capsys):
         other = tmp_path / "other.bin"
