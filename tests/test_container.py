@@ -197,7 +197,7 @@ def test_checkpoint_round_trips_bit_for_bit(tmp_path_factory, dtype, data, names
                       max_size=5))
 @example(parts=[])
 @example(parts=[b"ab", np.arange(3, dtype="<i4"), bytearray(b"c"), np.zeros((2, 2)), memoryview(b"de")])
-def test_callable_block_is_its_parts_joined(tmp_path_factory, parts):
+def test_list_block_is_its_parts_joined(tmp_path_factory, parts):
     d = tmp_path_factory.mktemp("parts")
     joined = b"".join(memoryview(p).tobytes() for p in parts)
     container.write(d / "one.bin", {"k": 1}, {"a": joined, "b": b"tail"})

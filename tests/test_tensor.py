@@ -32,19 +32,19 @@ class TestForwardValues:
         out = Tensor([-1.0, 0.0, 2.0]).relu()
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_add_and_mul_by_scalar(self):
+    def test_add_mul_scalar(self):
         t = Tensor([1.0, 2.0]) * 3.0 + Tensor([1.0, 1.0])
         np.testing.assert_allclose(t.data, [4.0, 7.0])
 
-    def test_other_forms_raise_type_error(self):
-        # + takes two tensors and * a tensor and then a real scalar; there is
-        # no -, no scalar on the left and no tensor or array after *
-        t = Tensor([1.0, 2.0])
-        forms = [("-", lambda: t - t), ("+", lambda: t + 1.0), ("*", lambda: t * t),
-                 ("*", lambda: t * np.ones(2)), ("+", lambda: 1.0 + t), ("*", lambda: 3.0 * t)]
-        for op, form in forms:
-            with pytest.raises(TypeError, match=rf"\{op}"):
-                form()
+    # + takes two tensors and * a tensor and then a real scalar; there is no
+    # -, no scalar on the left and no tensor or array after *
+    @pytest.mark.parametrize("op, form", [
+        ("-", lambda t: t - t), ("+", lambda t: t + 1.0), ("*", lambda t: t * t),
+        ("*", lambda t: t * np.ones(2)), ("+", lambda t: 1.0 + t), ("*", lambda t: 3.0 * t)],
+        ids=["sub", "add_scalar", "mul_tensor", "mul_array", "scalar_add", "scalar_mul"])
+    def test_other_forms_raise_type_error(self, op, form):
+        with pytest.raises(TypeError, match=rf"\{op}"):
+            form(Tensor([1.0, 2.0]))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
@@ -274,6 +274,21 @@ class TestGradientsAgainstFiniteDifferences:
             backward(dot(square(ta), p))
             (num,) = finite_diff_grads(f, [a0])
             assert max_rel_err(ta.grad, num) < 1e-6
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_zero_d_product_with_an_op_output(self, dtype):
+        # 0-d ops give numpy scalars (np.float64 subclasses float): such data
+        # is a real scalar to *, applied as a constant, while its tensor is not
+        with precision(dtype):
+            p, q = Tensor(2.0, requires_grad=True), Tensor(3.0, requires_grad=True)
+            s = p + q
+            assert isinstance(s.data, float) == (dtype == "float64")
+            with pytest.raises(TypeError, match=r"\*"):
+                p * s
+            out = p * s.data
+            assert out.data.dtype == dtype and float(out.data) == 10.0
+            backward(out)
+            assert p.grad == 5.0 and q.grad is None
 
     def test_branching_graph_accumulation(self):
         with precision("float64"):
