@@ -2,9 +2,9 @@
 
 Matching is greedy in score order against same-class ground truth; the
 precision/recall curve is sampled at 101 recall points after taking the
-running-max envelope. A class with no ground truth and no detections gets
-the -1 sentinel and is excluded from averages; with spurious detections it
-scores 0.
+running-max envelope. `evaluate` averages over the ten IOU_THRESHOLDS every
+class with ground truth or a detection, so every AP it averages is >= 0 (0
+for a class with only spurious detections); an input with no class reads -1.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class APReport:
     to_dict = to_json
 
 
-def _check_thresholds(thresholds):
-    bad = [thr for thr in thresholds if not 0.0 < thr <= 1.0]
-    if bad:
-        raise ValueError(f"IoU threshold {bad[0]} outside (0, 1]")
-
-
 def match_detections(dets, gts, iou_thrs) -> np.ndarray:
     """Greedy TP/FP assignment for one image, at each IoU threshold.
 
@@ -58,7 +52,9 @@ def match_detections(dets, gts, iou_thrs) -> np.ndarray:
     Returns (T, D) bool flags, a row per threshold, a column per detection
     in input order.
     """
-    _check_thresholds(iou_thrs)
+    bad = [thr for thr in iou_thrs if not 0.0 < thr <= 1.0]
+    if bad:
+        raise ValueError(f"IoU threshold {bad[0]} outside (0, 1]")
     ious = iou_matrix([d[0] for d in dets], [g[0] for g in gts])
     same_class = np.array([d[1] for d in dets])[:, None] == np.array([g[1] for g in gts])[None, :]
     ious[~same_class] = -1.0
@@ -109,34 +105,26 @@ def _cap_detections(dets):
     return [dets[i] for i in keep]
 
 
-def evaluate(eval_input: EvalInput, thresholds=IOU_THRESHOLDS) -> APReport:
+def evaluate(eval_input: EvalInput) -> APReport:
     """AP over the images in ``gt``; detections on any other image raise ValueError."""
     unknown = [iid for iid in eval_input.detections if iid not in eval_input.gt]
     if unknown:
         raise ValueError(f"detections for image id {unknown[0]!r}, which the ground truth does not list")
-    _check_thresholds(thresholds)
     # every image's capped detections, pooled in image order: class, score, a flag row per threshold
-    det_class, scores, flags = [], [], [np.empty((len(thresholds), 0), dtype=bool)]
+    det_class, scores, flags = [], [], [np.empty((len(IOU_THRESHOLDS), 0), dtype=bool)]
     for iid in sorted(eval_input.gt):
         dets = _cap_detections(eval_input.detections.get(iid, []))
         det_class += [d[1] for d in dets]
         scores += [d[2] for d in dets]
-        flags.append(match_detections(dets, eval_input.gt[iid], thresholds))
+        flags.append(match_detections(dets, eval_input.gt[iid], IOU_THRESHOLDS))
     gt_class = [c for gts in eval_input.gt.values() for _, c in gts]
     classes = sorted(set(gt_class) | set(det_class))
     order = np.argsort(np.negative(scores), kind="stable")  # each class's columns keep this order
     det_class, flags = np.array(det_class)[order], np.concatenate(flags, axis=1)[:, order]
 
-    # per_class[i][t]: AP of classes[i] at thresholds[t]
+    # per_class[i][t]: AP of classes[i] at IOU_THRESHOLDS[t], >= 0 as the class has a GT or a detection
     per_class = [[average_precision(f, gt_class.count(c)) for f in flags[:, det_class == c]]
                  for c in classes]
-    per_threshold = []
-    for t in range(len(thresholds)):
-        valid = [aps[t] for aps in per_class if aps[t] >= 0.0]
-        per_threshold.append(float(np.mean(valid)) if valid else -1.0)
-
-    ap = float(np.mean(per_threshold))
-    by_thr = dict(zip([round(t, 2) for t in thresholds], per_threshold))
-    return APReport(ap=ap, ap50=by_thr.get(0.5, -1.0), ap75=by_thr.get(0.75, -1.0),
-                    per_threshold=per_threshold, thresholds=tuple(thresholds))
-
+    per_threshold = [float(np.mean(aps)) for aps in zip(*per_class)] or [-1.0] * len(IOU_THRESHOLDS)
+    return APReport(ap=float(np.mean(per_threshold)), ap50=per_threshold[IOU_THRESHOLDS.index(0.5)],
+                    ap75=per_threshold[IOU_THRESHOLDS.index(0.75)], per_threshold=per_threshold)

@@ -65,6 +65,7 @@ def _table(blocks: dict, f=None) -> list:
             nbytes, crc = nbytes + v.nbytes, zlib.crc32(v, crc)
             if f is not None:
                 f.write(v)
+            del v  # a part is freed before the next one is made
         table.append([name, nbytes, crc])
     return table
 

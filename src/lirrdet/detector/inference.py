@@ -1,4 +1,4 @@
-"""Image to detections, and the JSON-lines detection dump."""
+"""A sample's (C, H, W) image to detections, and the JSON-lines detection dump."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ MAX_DETS = 100  # detections kept per image, here and in coco_eval
 
 
 def forward_detect(model, image) -> list:
-    """Run the always-on head over one image and return kept detections.
+    """Run the always-on head over one (C, H, W) image, a sample's layout, and
+    return kept detections.
 
     Softmax per anchor, background and scores under SCORE_THR dropped,
     decode with clamping to the image, then class-aware greedy NMS that
@@ -25,16 +26,14 @@ def forward_detect(model, image) -> list:
     scored, and Detection tuples are built only for the kept boxes.
     """
     x = np.asarray(image, dtype=default_dtype())
-    if x.ndim == 3:
-        x = x[None]
     spec = model.spec
-    if x.shape != (1, spec.in_channels, spec.image_size, spec.image_size):
+    if x.shape != (spec.in_channels, spec.image_size, spec.image_size):
         raise ValueError(
-            f"forward_detect: image shape {x.shape[1:]} does not match configured "
+            f"forward_detect: image shape {x.shape} does not match configured "
             f"({spec.in_channels}, {spec.image_size}, {spec.image_size})")
 
     with no_grad():
-        feats = model.features(Tensor(x.transpose(1, 0, 2, 3)))  # (C, 1, H, W), as the model reads
+        feats = model.features(Tensor(x[:, None]))  # (C, 1, H, W), as the model reads
         cls, loc = model.predict(feats, "invariant")
 
     z = cls.data[0].astype(np.float64)

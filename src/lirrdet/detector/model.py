@@ -1,12 +1,13 @@
 """Single-shot detector: shared conv backbone, per-level prediction heads.
 
 Three head sets consume the same backbone features: one trained on every
-domain, plus one for each of the two domains, indexed by the values of
-``lirr.DomainLabel`` (0 source, 1 target). Activations are channel-major,
-(C, N, H, W), from the stacked images through the head convs. Each head
-input is unrolled into im2col columns once (``HeadSet.columns``), and
-every head conv that reads it, in every head set, is handed those columns.
-Head output channels pack as anchor-within-cell major, class minor.
+domain, plus one per ``DomainLabel`` (0 source, 1 target), indexed by its
+value; the objective, the benchmark and the pipeline import this one
+definition of the domains. Activations are channel-major, (C, N, H, W),
+from the stacked images through the head convs. Each head input is
+unrolled into im2col columns once (``HeadSet.columns``), and every head
+conv that reads it, in every head set, is handed those columns. Head
+output channels pack as anchor-within-cell major, class minor.
 ``anchor_order`` lays the per-level outputs of one kind out as one
 (N, A, width) tensor in the anchor grid's order (level, row, column, anchor
 within the cell), as one tape op.
@@ -15,6 +16,7 @@ within the cell), as one tape op.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -24,12 +26,16 @@ from .anchors import LevelSpec, generate_anchors
 
 # strides of the two backbone feature maps the heads read, finest first
 HEAD_STRIDES = (8, 16)
-NUM_DOMAINS = 2  # domain head sets, one per lirr.DomainLabel value (lirr imports this module)
 
 DEFAULT_LEVELS = (
     LevelSpec(stride=8, scales=(10.0, 16.0), aspects=(1.0, 2.0, 0.5)),
     LevelSpec(stride=16, scales=(24.0, 36.0), aspects=(1.0, 2.0, 0.5)),
 )
+
+
+class DomainLabel(IntEnum):
+    SOURCE = 0
+    TARGET = 1
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ class Detector(Module):
         feat_channels = (w3, w4)
         self.invariant_head = HeadSet(feat_channels, spec.levels, spec.num_logits, rng=rng)
         self.domain_heads = [HeadSet(feat_channels, spec.levels, spec.num_logits, rng=rng)
-                             for _ in range(NUM_DOMAINS)]
+                             for _ in DomainLabel]
         self.spec = spec
         self.anchors = generate_anchors(spec.image_size, spec.levels)  # (A, 4)
 
@@ -131,7 +137,7 @@ class Detector(Module):
         return [f3, f4]
 
     def predict(self, feats, head="invariant", cols=None):
-        """head is "invariant" or a lirr.DomainLabel (0 source, 1 target);
+        """head is "invariant" or a DomainLabel (0 source, 1 target);
         cols, if given, is HeadSet.columns(feats)."""
         if head == "invariant":
             return self.invariant_head(feats, cols)

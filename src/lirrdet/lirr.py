@@ -41,13 +41,13 @@ keeps the reduced objective bit-for-bit identical to a plain supervised
 run and leaves the untouched parameter groups frozen (their gradients
 stay None). A batch of None drops both adaptation terms: the objective is
 then the shared risk of the other batch, as the supervised baselines train.
+``DomainLabel`` is defined once, beside the domain heads in ``detector.model``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import reduce
 from operator import add
 
@@ -66,15 +66,11 @@ from .autodiff import (
 from .autodiff.tensor import _op
 from .detector.loss import detection_loss_terms
 from .detector.matching import match_anchors
+from .detector.model import DomainLabel
 from .jsonconfig import check_finite, to_json
 
 
 CLASSIFIER_HIDDEN = 32  # hidden units of the domain classifier
-
-
-class DomainLabel(IntEnum):
-    SOURCE = 0
-    TARGET = 1
 
 
 @dataclass(frozen=True)

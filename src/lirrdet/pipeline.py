@@ -32,9 +32,9 @@ from .autodiff import SGD, CheckpointError, save_checkpoint, load_checkpoint
 from .coco_eval import EvalInput, evaluate
 from .container import atomic_open
 from .detector.inference import forward_detect, save_detections
-from .detector.model import Detector, ModelSpec
+from .detector.model import Detector, DomainLabel, ModelSpec
 from .jsonconfig import check_finite, from_json_dict, is_finite, read_json, to_json
-from .lirr import DomainClassifier, DomainLabel, LirrConfig, train_step
+from .lirr import DomainClassifier, LirrConfig, train_step
 from .synthgen import load_dataset
 
 

@@ -50,16 +50,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .container import InFile, OpenFile, json_int, read, write
+from .detector.model import DomainLabel
 from .jsonconfig import check_finite, from_json_dict, to_json
-from .lirr import DomainLabel
 
 # supersampling factor for silhouette coverage; 4x4 subsamples per pixel
 _SS = 4
 _MIN_AREA = 4.0
 _MAX_RETRIES = 10
-# pixels rendered at once: 4 images at 64 px. The process keeps the heap that set-up
-# frees into training, so a chunk's float64 planes are held to 128 KB each.
-_CHUNK_PX = 4 * 64 * 64
+# pixels rendered at once: 16 images at 64 px, whose float64 planes take 512 KB each.
+# The process keeps the heap that set-up frees into training, so chunks stay this small.
+_CHUNK_PX = 16 * 64 * 64
 
 
 class DatasetError(Exception):
@@ -139,10 +139,11 @@ class _Row(NamedTuple):
     shape: tuple
     index: int
 
-    def read(self) -> np.ndarray:
+    def read(self, count: int = 1) -> np.ndarray:
+        """This row, or the `count` rows from it as one (count, *shape) array, with one pread."""
         nbytes = 4 * math.prod(self.shape)
-        data = self.block.file.pread(nbytes, self.block.offset + self.index * nbytes)
-        return np.frombuffer(data, dtype="<f4").reshape(self.shape)
+        data = self.block.file.pread(count * nbytes, self.block.offset + self.index * nbytes)
+        return np.frombuffer(data, dtype="<f4").reshape(self.shape if count == 1 else (count, *self.shape))
 
 
 class _Image:
@@ -389,9 +390,9 @@ def render_scene_parts(spec: SceneSpec, params: DomainParams, index: int) -> Ren
 
 def render_scene(spec: SceneSpec, params: DomainParams, index: int,
                  domain: DomainLabel = DomainLabel.SOURCE) -> Sample:
-    sample = render_scene_parts(spec, params, index).sample
-    sample.domain = domain
-    return sample
+    """Scene `index` alone, labelled `domain`: a chunk of one, the same bytes as in a split."""
+    image = np.empty((1, 1, spec.size, spec.size), np.float32)
+    return _render(spec, params, index, image, domain)[0][0]
 
 
 SOURCE_DOMAIN = DomainParams(
@@ -523,18 +524,30 @@ class Dataset:
 
 def save_dataset(samples, path, config: dict | None = None) -> None:
     """Write `samples` to `path`. The images are streamed to the file twice, to size and
-    then to write them, so a split whose images are read on use is never held whole."""
+    then to write them, so a split whose images are read on use is never held whole:
+    consecutive rows of one file are read with one pread per `_CHUNK_PX` pixels."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot save an empty dataset")
-    shape = samples[0].image.shape
+    shape = vars(samples[0])["image"].shape  # a _Row knows its shape without a read
+    per_run = max(_CHUNK_PX // math.prod(shape), 1)
 
     def images():
+        run = []  # rows of one block that follow one another, not yet read
         for s in samples:
-            image = s.image
+            image = vars(s)["image"]
             if image.shape != shape:
                 raise ValueError(f"inconsistent image shapes: {shape} and {image.shape}")
-            yield np.ascontiguousarray(image, dtype="<f4")
+            if run and not (isinstance(image, _Row) and image.block == run[0].block and len(run) < per_run
+                            and image.index == run[0].index + len(run)):
+                yield run[0].read(len(run))
+                run = []
+            if isinstance(image, _Row):
+                run.append(image)
+            else:
+                yield np.ascontiguousarray(image, dtype="<f4")
+        if run:
+            yield run[0].read(len(run))
 
     annotations = "".join(json.dumps({
         "image_id": int(s.image_id),

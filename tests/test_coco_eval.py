@@ -239,9 +239,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("thr", [0.0, -0.5, 1.01])
     def test_bad_threshold_rejected(self, thr):
         box = (10.0, 10.0, 30.0, 30.0)
-        inp = EvalInput(gt={0: [(box, 1)]}, detections={0: [(box, 1, 0.9)]})
         with pytest.raises(ValueError, match="IoU threshold"):
-            evaluate(inp, thresholds=(0.5, thr))
+            match_detections([(box, 1, 0.9)], [(box, 1)], (0.5, thr))
 
     def test_equals_per_threshold_matching_bit_for_bit(self):
         # evaluate matches each image once at every threshold; matching each
@@ -264,6 +263,13 @@ class TestEvaluate:
             valid = [a for a in aps if a >= 0.0]
             want.append(float(np.mean(valid)) if valid else -1.0)
         assert evaluate(inp).per_threshold == want
+
+    def test_only_an_input_with_no_class_reads_the_sentinel(self):
+        empty = evaluate(EvalInput(gt={0: [], 1: []}, detections={0: []}))
+        assert empty.per_threshold == [-1.0] * len(IOU_THRESHOLDS) and empty.ap == empty.ap50 == -1.0
+        box = (10.0, 10.0, 30.0, 30.0)
+        spurious = evaluate(EvalInput(gt={0: [(box, 1)], 1: []}, detections={1: [(box, 2, 0.9)]}))
+        assert spurious.per_threshold == [0.0] * len(IOU_THRESHOLDS)  # class 1 missed, class 2 spurious
 
     def test_detections_on_unlisted_image_rejected(self):
         box = (10.0, 10.0, 30.0, 30.0)
@@ -308,8 +314,8 @@ class TestEvaluateProperties:
             for iid, dets in inp.detections.items():
                 flags = match_detections(dets, inp.gt[iid], (thr,))[0]
                 cleaned[iid] = [d for d, f in zip(dets, flags) if f]
-            rep = evaluate(EvalInput(gt=inp.gt, detections=cleaned), thresholds=(thr,))
-            assert rep.per_threshold[0] >= base.per_threshold[k] - 1e-12
+            rep = evaluate(EvalInput(gt=inp.gt, detections=cleaned))
+            assert rep.per_threshold[k] >= base.per_threshold[k] - 1e-12
 
     def test_image_order_invariance(self):
         rng = np.random.default_rng(36)

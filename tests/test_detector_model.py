@@ -370,6 +370,11 @@ class TestForwardDetect:
         with pytest.raises(ValueError):
             forward_detect(small_model(), np.zeros((1, 64, 64), dtype=np.float32))
 
+    def test_batched_image_rejected(self):
+        # one layout: a sample's (C, H, W) image, not a batch of one
+        with pytest.raises(ValueError, match=r"image shape \(1, 1, 32, 32\) does not match configured \(1, 32, 32\)"):
+            forward_detect(small_model(), np.zeros((1, 1, 32, 32), dtype=np.float32))
+
     def test_untrained_64px_matches_uncapped_reference(self):
         # the capped NMS inside forward_detect returns the first MAX_DETS keeps
         # of an uncapped brute-force walk over the same candidates

@@ -22,6 +22,7 @@ from lirrdet.autodiff import (
 )
 from lirrdet.detector import IGNORE, NEGATIVE, MatchResult, match_anchors
 from lirrdet.detector.loss import detection_loss_terms
+from lirrdet.detector import model as detector_model
 from lirrdet.detector.model import HEAD_STRIDES, Detector, HeadSet, ModelSpec, anchor_order
 from lirrdet.lirr import (
     _matches,
@@ -120,6 +121,8 @@ class TestConfig:
         assert int(DomainLabel.TARGET) == 1
 
     def test_one_domain_head_set_per_label(self):
+        # one definition: the objective's name is the model's label
+        assert lirr.DomainLabel is DomainLabel is detector_model.DomainLabel
         assert len(small_model(0).domain_heads) == len(DomainLabel)
 
 

@@ -380,6 +380,20 @@ class TestMakeBenchmark:
         save_dataset(copies, tmp_path / "in_memory.bin")
         assert (tmp_path / "spilled.bin").read_bytes() == (tmp_path / "in_memory.bin").read_bytes()
 
+    def test_saving_a_spilled_split_reads_its_rows_in_runs(self, tmp_path, monkeypatch):
+        splits = make_benchmark(BenchmarkConfig(source_count=300, target_train_small=1, target_train_full=1,
+                                                target_test_count=1))
+        pread, calls = os.pread, []
+        monkeypatch.setattr(os, "pread", lambda *args: calls.append(args[1]) or pread(*args))
+        save_dataset(splits.source_train, tmp_path / "spilled.bin")
+        monkeypatch.undo()
+        # two passes, each a pread per run of 16 consecutive rows; one per image per pass before
+        assert len(calls) <= 2 * math.ceil(300 / 16), len(calls)
+        assert max(calls) <= _CHUNK_PX * 4
+        copies = [dataclasses.replace(s, image=s.image.copy()) for s in splits.source_train]
+        save_dataset(copies, tmp_path / "in_memory.bin")
+        assert (tmp_path / "spilled.bin").read_bytes() == (tmp_path / "in_memory.bin").read_bytes()
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
     def test_a_render_error_leaves_no_file_open_or_behind(self, tmp_path, monkeypatch):
         render, calls = synthgen._render, []
@@ -392,9 +406,10 @@ class TestMakeBenchmark:
         monkeypatch.setattr(synthgen, "_render", failing)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         before = len(os.listdir("/proc/self/fd"))
+        chunk = _CHUNK_PX // 64**2  # one chunk of source, two of full target
         with pytest.raises(RenderError, match="no polygon") as caught:
-            make_benchmark(BenchmarkConfig(source_count=4, target_train_small=1, target_train_full=8))
-        assert calls == [0, 10000, 10004]
+            make_benchmark(BenchmarkConfig(source_count=chunk, target_train_small=1, target_train_full=2 * chunk))
+        assert calls == [0, 10000, 10000 + chunk]
         # counted while the traceback, and so the finished source split, is still held
         assert caught.tb is not None and len(os.listdir("/proc/self/fd")) == before
         assert list(tmp_path.iterdir()) == []
